@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 selftest failure, 2 invalid configuration,
 3 solver guard tripped, 4 hull infeasible/unbounded.  Outputs are written
 atomically (temp file + rename) so failed runs leave no partial files;
-identical config + seed yields byte-identical bytes.
+an identical config yields byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -13,14 +13,14 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import (ConfigError, Infeasible, InsufficientTrustedSamples,
                      NearEigenvalue, NearInteriorEigenvalue,
-                     QuadratureUnderResolved, TruncationInsufficient, Unbounded)
+                     QuadratureUnderResolved, RadialOverflow,
+                     TruncationInsufficient, Unbounded)
 from .indicator import IndicatorEngine, SweepConfig
 from .recon import estimate_support, reconstruct_hull, synth_translated
 from .selftest import run_selftest
@@ -31,7 +31,7 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_GEOMETRY = 4
 
-_GUARD_ERRORS = (NearEigenvalue, NearInteriorEigenvalue,
+_GUARD_ERRORS = (NearEigenvalue, NearInteriorEigenvalue, RadialOverflow,
                  TruncationInsufficient, QuadratureUnderResolved,
                  InsufficientTrustedSamples)
 
@@ -63,65 +63,29 @@ def _engine_for(config: RunConfig) -> IndicatorEngine:
     return IndicatorEngine(sweep_cfg, tau_max=max(config.tau_grid))
 
 
+def _direction_samples(config: RunConfig, engine: IndicatorEngine, rho, ts):
+    """Samples of one direction ordered by (t, tau); one CGO trace per tau.
+
+    t enters the indicator only through an exact exponent, so each
+    t_sweep call shares its trace across ts.
+    """
+    by_tau = [engine.t_sweep(rho, float(tau), ts) for tau in config.tau_grid]
+    samples = [s for row in zip(*by_tau) for s in row]
+    if np.any(config.translation != 0.0):
+        samples = synth_translated(samples, config.translation)
+    return samples
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_validate(config_path: str, out_dir: str | None, threads: int, seed: int | None) -> int:
-    try:
-        config = load_config(config_path)
-    except ConfigError as exc:
-        for msg in exc.messages:
-            print(f"config error: {msg}", file=sys.stderr)
-        return EXIT_CONFIG
-    resolved = config.resolved()
-    if seed is not None:
-        resolved["seed"] = seed
-    print(json.dumps(resolved, indent=2, sort_keys=True))
-    return EXIT_OK
-
-
-def _sweep_rows(config: RunConfig, engine: IndicatorEngine, threads: int):
-    """Rows sorted by (direction index, t, tau); one worker per direction."""
-    c = config.translation
-    shifted = bool(np.any(c != 0.0))
-
-    def per_direction(idx):
-        rho = config.directions[idx]
-        rows = []
-        for t in config.t_grid:
-            for tau in config.tau_grid:
-                s = engine.sample(rho, float(tau), float(t))
-                if shifted:
-                    s = synth_translated([s], c)[0]
-                rows.append((idx, s))
-        return rows
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(per_direction, range(len(config.directions))))
-    else:
-        chunks = [per_direction(i) for i in range(len(config.directions))]
-    for chunk in chunks:
-        yield from chunk
-
-
-def cmd_sweep(config_path: str, out_dir: str | None, threads: int, seed: int | None) -> int:
-    try:
-        config = load_config(config_path)
-    except ConfigError as exc:
-        for msg in exc.messages:
-            print(f"config error: {msg}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out = out_dir or config.output_dir
-    os.makedirs(out, exist_ok=True)
-    try:
-        engine = _engine_for(config)
-        lines = ["rho_x,rho_y,rho_z,tau,t,re_mantissa,im_mantissa,ln_exponent,"
-                 "log_abs_I,tail,trusted"]
-        for idx, s in _sweep_rows(config, engine, threads):
-            rho = config.directions[idx]
+def cmd_sweep(config: RunConfig, out: str) -> int:
+    engine = _engine_for(config)
+    lines = ["rho_x,rho_y,rho_z,tau,t,re_mantissa,im_mantissa,ln_exponent,"
+             "log_abs_I,tail,trusted"]
+    for rho in config.directions:
+        for s in _direction_samples(config, engine, rho, config.t_grid):
             v = s.value
             lines.append(",".join([
                 _fmt(rho[0]), _fmt(rho[1]), _fmt(rho[2]),
@@ -129,52 +93,21 @@ def cmd_sweep(config_path: str, out_dir: str | None, threads: int, seed: int | N
                 _fmt(v.mantissa.real), _fmt(v.mantissa.imag), _fmt(v.exponent),
                 _fmt(s.ln_abs), _fmt(s.trace_tail), "1" if s.trusted else "0",
             ]))
-    except _GUARD_ERRORS as exc:
-        print(f"solver guard: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     _atomic_write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
     print(f"wrote {os.path.join(out, 'sweep.csv')} "
           f"({len(lines) - 1} rows, L={config.degree})")
     return EXIT_OK
 
 
-def cmd_reconstruct(config_path: str, out_dir: str | None, threads: int,
-                    seed: int | None) -> int:
-    try:
-        config = load_config(config_path)
-    except ConfigError as exc:
-        for msg in exc.messages:
-            print(f"config error: {msg}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out = out_dir or config.output_dir
-    os.makedirs(out, exist_ok=True)
-    c = config.translation
-    shifted = bool(np.any(c != 0.0))
-
-    def estimate_for(idx):
-        rho = config.directions[idx]
-        sweep = engine.tau_sweep(rho, 0.0, config.tau_grid)
-        if shifted:
-            sweep = synth_translated(sweep, c)
-        return estimate_support(sweep)
-
-    try:
-        engine = _engine_for(config)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                estimates = list(pool.map(estimate_for,
-                                          range(len(config.directions))))
-        else:
-            estimates = [estimate_for(i) for i in range(len(config.directions))]
-    except _GUARD_ERRORS as exc:
-        print(f"solver guard: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+def cmd_reconstruct(config: RunConfig, out: str) -> int:
+    engine = _engine_for(config)
+    estimates = [estimate_support(_direction_samples(config, engine, rho, [0.0]))
+                 for rho in config.directions]
 
     truth = None
     if config.truth_radius is not None:
-        radius = config.truth_radius
-        truth = lambda rho: radius + float(np.asarray(c) @ rho)   # noqa: E731
+        radius, c = config.truth_radius, config.translation
+        truth = lambda rho: radius + float(c @ rho)   # noqa: E731
     try:
         mesh, report = reconstruct_hull(estimates, truth_support=truth)
     except (Infeasible, Unbounded) as exc:
@@ -201,7 +134,6 @@ def cmd_reconstruct(config_path: str, out_dir: str | None, threads: int,
         f"problem: {config.problem}",
         f"directions: {report['n_directions']}",
         f"truncation degree: {config.degree}",
-        f"seed: {seed if seed is not None else config.seed}",
         f"hull volume: {_fmt(report['hull_volume'])}",
         f"hull centroid: "
         + " ".join(_fmt(float(x)) for x in report["centroid"]),
@@ -216,11 +148,6 @@ def cmd_reconstruct(config_path: str, out_dir: str | None, threads: int,
     return EXIT_OK
 
 
-def cmd_selftest(inject: str | None) -> int:
-    ok = run_selftest(inject=inject)
-    return EXIT_OK if ok else EXIT_SELFTEST
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -233,24 +160,36 @@ def main(argv=None) -> int:
     for name in ("validate", "sweep", "reconstruct"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=None)
+        if name != "validate":
+            p.add_argument("--out", default=None,
+                           help="output directory (default: output_dir)")
 
     p = sub.add_parser("selftest")
     p.add_argument("--inject", choices=["mk-sign-flip"], default=None,
                    help="deliberately corrupt M_k (the suites must fail)")
 
     args = parser.parse_args(argv)
-    if args.command == "validate":
-        return cmd_validate(args.config, args.out, args.threads, args.seed)
-    if args.command == "sweep":
-        return cmd_sweep(args.config, args.out, args.threads, args.seed)
-    if args.command == "reconstruct":
-        return cmd_reconstruct(args.config, args.out, args.threads, args.seed)
     if args.command == "selftest":
-        return cmd_selftest(args.inject)
-    return EXIT_CONFIG
+        return EXIT_OK if run_selftest(inject=args.inject) else EXIT_SELFTEST
+
+    try:
+        config = load_config(args.config)
+    except ConfigError as exc:
+        for msg in exc.messages:
+            print(f"config error: {msg}", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.command == "validate":
+        print(json.dumps(config.resolved(), indent=2, sort_keys=True))
+        return EXIT_OK
+
+    out = args.out or config.output_dir
+    os.makedirs(out, exist_ok=True)
+    command = cmd_sweep if args.command == "sweep" else cmd_reconstruct
+    try:
+        return command(config, out)
+    except _GUARD_ERRORS as exc:
+        print(f"solver guard: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

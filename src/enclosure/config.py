@@ -1,13 +1,14 @@
 """Run configuration: JSON schema, validation, environment overrides.
 
-A config fully determines a batch run; identical configs (plus seed)
-produce byte-identical outputs.  Every physical constraint is checked here
+A config fully determines a batch run; identical configs produce
+byte-identical outputs.  Every physical constraint is checked here
 before any solver work starts, with messages naming the offending key.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -22,7 +23,6 @@ ENV_PREFIX = "ENCLOSURE_"
 
 _DEFAULT_TOLERANCES = {
     "trace_tail": 1e-8,
-    "slope_tol": 0.05,
     "eigen_guard": 1e-10,
 }
 
@@ -41,7 +41,6 @@ class RunConfig:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
     truth_radius: float | None = None
     output_dir: str = "out"
-    seed: int = 0
 
     @property
     def degree(self) -> int:
@@ -65,11 +64,20 @@ class RunConfig:
             "translation": [float(c) for c in self.translation],
             "truth_radius": self.truth_radius,
             "output_dir": self.output_dir,
-            "seed": self.seed,
         }
         if self.medium is not None:
             out["medium"] = {"mu_contrast": self.medium.mu_contrast}
         return out
+
+
+def _is_number(x) -> bool:
+    """A finite JSON number; bools are not numbers here."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _grid_values(raw, path, errors):
@@ -78,22 +86,28 @@ def _grid_values(raw, path, errors):
         if missing:
             errors.append(f"{path}: grid dict needs start/stop/count")
             return []
-        if int(raw["count"]) < 1:
-            errors.append(f"{path}.count: must be >= 1")
+        if not (_is_number(raw["start"]) and _is_number(raw["stop"])):
+            errors.append(f"{path}: start and stop must be finite numbers")
+            return []
+        if not _is_count(raw["count"]) or raw["count"] < 1:
+            errors.append(f"{path}.count: must be an integer >= 1")
             return []
         return list(np.linspace(float(raw["start"]), float(raw["stop"]),
-                                int(raw["count"])))
+                                raw["count"]))
     if isinstance(raw, list) and raw:
-        try:
-            vals = [float(v) for v in raw]
-        except (TypeError, ValueError):
-            errors.append(f"{path}: entries must be numbers")
+        if not all(_is_number(v) for v in raw):
+            errors.append(f"{path}: entries must be finite numbers")
             return []
+        vals = [float(v) for v in raw]
         if sorted(vals) != vals:
             errors.append(f"{path}: values must be sorted ascending")
         return vals
     errors.append(f"{path}: must be a nonempty list or start/stop/count dict")
     return []
+
+
+def _is_vector3(x) -> bool:
+    return isinstance(x, list) and len(x) == 3 and all(map(_is_number, x))
 
 
 def _directions(raw, errors):
@@ -104,7 +118,7 @@ def _directions(raw, errors):
         return directions_axes26()
     if kind == "fibonacci":
         n = raw.get("count", 0)
-        if not isinstance(n, int) or n < 4:
+        if not _is_count(n) or n < 4:
             errors.append("directions.count: need an integer >= 4")
             return directions_axes26()
         return directions_fibonacci(n)
@@ -113,10 +127,11 @@ def _directions(raw, errors):
         if not isinstance(vecs, list) or len(vecs) < 1:
             errors.append("directions.vectors: need a nonempty list of 3-vectors")
             return directions_axes26()
-        arr = np.asarray(vecs, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            errors.append("directions.vectors: entries must be 3-vectors")
+        if not all(_is_vector3(v) for v in vecs):
+            errors.append("directions.vectors: entries must be 3-vectors "
+                          "of finite numbers")
             return directions_axes26()
+        arr = np.asarray(vecs, dtype=float)
         norms = np.linalg.norm(arr, axis=1)
         if np.any(norms < 1e-12):
             errors.append("directions.vectors: zero vector not allowed")
@@ -135,21 +150,24 @@ def parse_config(doc: dict) -> RunConfig:
         problem = "pec"
 
     geom_raw = doc.get("geometry", {})
+    if not isinstance(geom_raw, dict):
+        errors.append("geometry: must be an object")
+        geom_raw = {}
     r_dom = geom_raw.get("r_domain")
     # an 'empty' run has no obstacle; the slot is filled but never used
     r_obs = geom_raw.get("r_obstacle",
                          0.5 * r_dom if problem == "empty"
-                         and isinstance(r_dom, (int, float)) else None)
+                         and _is_number(r_dom) else None)
     geometry = None
-    if not isinstance(r_obs, (int, float)) or not isinstance(r_dom, (int, float)):
-        errors.append("geometry: r_obstacle and r_domain must be numbers")
+    if not _is_number(r_obs) or not _is_number(r_dom):
+        errors.append("geometry: r_obstacle and r_domain must be finite numbers")
     elif not (0.0 < r_obs < r_dom):
         errors.append("geometry: need 0 < r_obstacle < r_domain")
     else:
         geometry = Geometry(float(r_obs), float(r_dom))
 
     k = doc.get("wave_number")
-    if not isinstance(k, (int, float)) or k <= 0.0:
+    if not _is_number(k) or k <= 0.0:
         errors.append("wave_number: must be a positive number")
         k = 1.0
 
@@ -160,8 +178,8 @@ def parse_config(doc: dict) -> RunConfig:
             errors.append("medium.mu_contrast: required for the transmission problem")
         else:
             mu_c = med_raw["mu_contrast"]
-            if not isinstance(mu_c, (int, float)):
-                errors.append("medium.mu_contrast: must be a number")
+            if not _is_number(mu_c):
+                errors.append("medium.mu_contrast: must be a finite number")
             elif 1.0 - mu_c <= 0.0:
                 errors.append("medium.mu_contrast: mu inside = 1 - mu_contrast "
                               "must be positive")
@@ -179,7 +197,7 @@ def parse_config(doc: dict) -> RunConfig:
     directions = _directions(doc.get("directions"), errors)
 
     L = doc.get("truncation_degree")
-    if L is not None and (not isinstance(L, int) or L < 1):
+    if L is not None and (not _is_count(L) or L < 1):
         errors.append("truncation_degree: must be a positive integer or null")
         L = None
 
@@ -191,7 +209,7 @@ def parse_config(doc: dict) -> RunConfig:
         for key, val in tol_raw.items():
             if key not in tol:
                 errors.append(f"tolerances.{key}: unknown key")
-            elif not isinstance(val, (int, float)) or val <= 0:
+            elif not _is_number(val) or val <= 0:
                 errors.append(f"tolerances.{key}: must be a positive number")
             else:
                 tol[key] = float(val)
@@ -199,22 +217,16 @@ def parse_config(doc: dict) -> RunConfig:
     translation = np.zeros(3)
     tr_raw = doc.get("translation")
     if tr_raw is not None:
-        arr = np.asarray(tr_raw, dtype=float) if isinstance(tr_raw, list) else None
-        if arr is None or arr.shape != (3,):
-            errors.append("translation: must be a 3-vector")
+        if not _is_vector3(tr_raw):
+            errors.append("translation: must be a 3-vector of finite numbers")
         else:
-            translation = arr
+            translation = np.asarray(tr_raw, dtype=float)
 
     truth_radius = doc.get("truth_radius")
-    if truth_radius is not None and (not isinstance(truth_radius, (int, float))
+    if truth_radius is not None and (not _is_number(truth_radius)
                                      or truth_radius <= 0):
         errors.append("truth_radius: must be a positive number or null")
         truth_radius = None
-
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        errors.append("seed: must be an integer")
-        seed = 0
 
     output_dir = doc.get("output_dir", "out")
     if not isinstance(output_dir, str):
@@ -223,7 +235,7 @@ def parse_config(doc: dict) -> RunConfig:
 
     known = {"problem", "geometry", "wave_number", "medium", "tau_grid",
              "t_grid", "directions", "truncation_degree", "tolerances",
-             "translation", "truth_radius", "output_dir", "seed"}
+             "translation", "truth_radius", "output_dir"}
     for key in doc:
         if key not in known:
             errors.append(f"{key}: unknown configuration key")
@@ -235,7 +247,7 @@ def parse_config(doc: dict) -> RunConfig:
                      medium=medium, truncation_degree=L, tolerances=tol,
                      translation=translation,
                      truth_radius=(float(truth_radius) if truth_radius else None),
-                     output_dir=output_dir, seed=int(seed))
+                     output_dir=output_dir)
 
 
 def _apply_env_overrides(doc: dict, environ=None) -> dict:

@@ -37,6 +37,10 @@ class NearEigenvalue(EnclosureError):
     """Wave number too close to an interior Maxwell eigenvalue."""
 
 
+class RadialOverflow(EnclosureError):
+    """Radial functions left the double range at the truncation degree."""
+
+
 class InvalidMedium(EnclosureError):
     """Material coefficients violate positivity constraints."""
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .conventions import POL_U, POL_V, TE, TM
 from .errors import (DegreeMismatch, InvalidMedium, NearEigenvalue,
-                     PointOutOfDomain)
+                     PointOutOfDomain, RadialOverflow)
 from .mathkit import VshCoeffs, riccati_tables, synth_modes_at_points
 from .mathkit.vsh import VshTransform
 
@@ -246,6 +246,36 @@ def _guard_eigenvalues(label, guard, scale_te, xi_te_a, scale_tm, dxi_tm_a, L):
         raise NearEigenvalue(f"{label}: TM radial determinant ~ 0 at l = {bad_tm[0]}")
 
 
+def _outer_maps(label, guard, L, alpha, beta, psi_a, dpsi_a, chi_a, dchi_a):
+    """(lam, diff_empty) at r_domain for the outer solution alpha psi + beta chi.
+
+    Raises RadialOverflow when an entry of diff_empty is not finite, which
+    happens once the radial functions leave the double range.
+    """
+    xi_a = alpha * psi_a + beta * chi_a
+    dxi_a = alpha * dpsi_a + beta * dchi_a
+    scale = (np.abs(alpha) * (np.abs(psi_a) + np.abs(dpsi_a))
+             + np.abs(beta) * (np.abs(chi_a) + np.abs(dchi_a)))
+    _guard_eigenvalues(label, guard, scale[TE], xi_a[TE],
+                       scale[TM], dxi_a[TM], L)
+
+    lam = _lam_from_xi(xi_a[TE], dxi_a[TE])
+    lam[TM] = _lam_from_xi(xi_a[TM], dxi_a[TM])[TM]
+
+    # exact Lambda_D - Lambda_empty via the Wronskian identity
+    # Xi' psi - Xi psi' = beta (psi chi' - psi' chi) = beta
+    diff = np.zeros_like(lam)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        diff[TE] = np.where(xi_a[TE] != 0, -1j * beta[TE] / (xi_a[TE] * psi_a), 0.0)
+        diff[TM] = np.where(dxi_a[TM] != 0, 1j * beta[TM] / (dxi_a[TM] * dpsi_a), 0.0)
+    diff[:, 0] = 0.0
+    bad = np.flatnonzero(~np.all(np.isfinite(diff), axis=0))
+    if bad.size:
+        raise RadialOverflow(f"{label}: operator difference not finite at "
+                             f"l = {bad[0]}; lower the truncation degree")
+    return lam, diff
+
+
 def solution_empty(k: float, r_domain: float, L: int,
                    guard: float = DEFAULT_EIGEN_GUARD) -> FieldSolution:
     """Regular solution in the full ball: the Lambda_emptyset context."""
@@ -282,24 +312,8 @@ def solution_pec(k: float, geometry: Geometry, L: int,
     #           TM kills  Z(b) (alpha, beta) = (chi(b),  -psi(b))
     alpha = np.stack([dchi_b, chi_b])
     beta = np.stack([-dpsi_b, -psi_b])
-
-    xi_a = alpha * psi_a + beta * chi_a
-    dxi_a = alpha * dpsi_a + beta * dchi_a
-    scale = (np.abs(alpha) * (np.abs(psi_a) + np.abs(dpsi_a))
-             + np.abs(beta) * (np.abs(chi_a) + np.abs(dchi_a)))
-    _guard_eigenvalues("pec annulus", guard, scale[TE], xi_a[TE],
-                       scale[TM], dxi_a[TM], L)
-
-    lam = _lam_from_xi(xi_a[TE], dxi_a[TE])
-    lam[TM] = _lam_from_xi(xi_a[TM], dxi_a[TM])[TM]
-
-    # exact Lambda_D - Lambda_empty via the Wronskian identity
-    # Xi' psi - Xi psi' = beta (psi chi' - psi' chi) = beta
-    diff = np.zeros_like(lam)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        diff[TE] = np.where(xi_a[TE] != 0, -1j * beta[TE] / (xi_a[TE] * psi_a), 0.0)
-        diff[TM] = np.where(dxi_a[TM] != 0, 1j * beta[TM] / (dxi_a[TM] * dpsi_a), 0.0)
-    diff[:, 0] = 0.0
+    lam, diff = _outer_maps("pec annulus", guard, L, alpha, beta,
+                            psi_a, dpsi_a, chi_a, dchi_a)
 
     op = ImpedanceOperator(k=k, r_domain=geometry.r_domain, L=L, lam=lam,
                            diff_empty=diff, label="pec")
@@ -339,21 +353,8 @@ def solution_transmission(k: float, geometry: Geometry, medium: Medium, L: int,
     det = psi_b * dchi_b - dpsi_b * chi_b
     alpha = (dchi_b * rhs1 - chi_b * rhs2) / det
     beta = (psi_b * rhs2 - dpsi_b * rhs1) / det
-
-    xi_a = alpha * psi_a + beta * chi_a
-    dxi_a = alpha * dpsi_a + beta * dchi_a
-    scale = (np.abs(alpha) * (np.abs(psi_a) + np.abs(dpsi_a))
-             + np.abs(beta) * (np.abs(chi_a) + np.abs(dchi_a)))
-    _guard_eigenvalues("transmission", guard, scale[TE], xi_a[TE],
-                       scale[TM], dxi_a[TM], L)
-
-    lam = _lam_from_xi(xi_a[TE], dxi_a[TE])
-    lam[TM] = _lam_from_xi(xi_a[TM], dxi_a[TM])[TM]
-    diff = np.zeros_like(lam)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        diff[TE] = np.where(xi_a[TE] != 0, -1j * beta[TE] / (xi_a[TE] * psi_a), 0.0)
-        diff[TM] = np.where(dxi_a[TM] != 0, 1j * beta[TM] / (dxi_a[TM] * dpsi_a), 0.0)
-    diff[:, 0] = 0.0
+    lam, diff = _outer_maps("transmission", guard, L, alpha, beta,
+                            psi_a, dpsi_a, chi_a, dchi_a)
 
     op = ImpedanceOperator(k=k, r_domain=geometry.r_domain, L=L, lam=lam,
                            diff_empty=diff, label="transmission")

@@ -9,6 +9,7 @@ actually has teeth.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 
@@ -220,7 +221,8 @@ def run_selftest(inject: str | None = None, out=print) -> bool:
     """Run every suite; returns True when all pass.  inject='mk-sign-flip'
     corrupts the M_k symbols for the duration (the checks must then fail)."""
     ok = True
-    ctx = layerpot.mk_sign_flip() if inject == "mk-sign-flip" else _null_ctx()
+    ctx = (layerpot.mk_sign_flip() if inject == "mk-sign-flip"
+           else contextlib.nullcontext())
     with ctx:
         for name, fn in SUITES:
             start = time.perf_counter()
@@ -238,11 +240,3 @@ def run_selftest(inject: str | None = None, out=print) -> bool:
             dt = time.perf_counter() - start
             out(f"{status:4s} {name:24s} {dt:7.3f}s  {detail}")
     return ok
-
-
-class _null_ctx:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False

@@ -256,7 +256,6 @@ def test_criterion_8_determinism_and_robustness(tmp_path, capsys):
                        "vectors": [[0, 0, 1], [1, 0, 0], [0, 1, 0],
                                    [0, 0, -1], [-1, 0, 0], [0, -1, 0]]},
         "truncation_degree": 26,
-        "seed": 0,
     }
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(base))

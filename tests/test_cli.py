@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from enclosure import indicator
 from enclosure.cli import main
 from enclosure.config import load_config
 
@@ -18,7 +19,6 @@ BASE = {
                                [0, 0, -1], [-1, 0, 0], [0, -1, 0]]},
     "truncation_degree": 28,
     "truth_radius": 0.5,
-    "seed": 0,
 }
 
 RECON = dict(BASE)
@@ -71,6 +71,24 @@ INVALID_CONFIGS = [
     ("bad tolerance", dict(BASE, tolerances={"trace_tail": -1.0}), "tolerances"),
     ("unknown key", dict(BASE, extra_knob=3), "extra_knob"),
     ("missing transmission medium", dict(BASE, problem="transmission"), "medium"),
+    ("grid count not a number", dict(BASE, tau_grid={
+        "start": 6.0, "stop": 12.0, "count": "four"}), "tau_grid"),
+    ("grid start not a number", dict(BASE, t_grid={
+        "start": "low", "stop": 0.7, "count": 2}), "t_grid"),
+    ("grid count overflows", dict(BASE, tau_grid={
+        "start": 6.0, "stop": 12.0, "count": 1e400}), "tau_grid"),
+    ("geometry is a list", dict(BASE, geometry=[0.5, 1.0]), "geometry"),
+    ("translation not numbers", dict(BASE, translation=["a", "b", "c"]),
+     "translation"),
+    ("ragged direction vectors", dict(BASE, directions={
+        "kind": "explicit", "vectors": [[0, 0, 1], [1, 0]]}), "directions"),
+    ("bool wave number", dict(BASE, wave_number=True), "wave_number"),
+    ("bool truncation degree", dict(BASE, truncation_degree=True),
+     "truncation_degree"),
+    ("nan wave number", dict(BASE, wave_number=float("nan")), "wave_number"),
+    ("nan tau", dict(BASE, tau_grid=[6.0, float("nan")]), "tau_grid"),
+    ("infinite domain radius", dict(BASE, geometry={
+        "r_obstacle": 0.5, "r_domain": float("inf")}), "geometry"),
 ]
 
 
@@ -122,13 +140,19 @@ def test_sweep_csv_shape_and_determinism(tmp_path, capsys):
     assert float(first[3]) == 6.0 and float(first[4]) == 0.3
 
 
-def test_sweep_threads_identical(tmp_path):
+def test_sweep_one_trace_per_direction_and_tau(tmp_path, monkeypatch):
+    calls = []
+    cgo_trace = indicator.cgo_trace
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return cgo_trace(*args, **kwargs)
+
+    monkeypatch.setattr(indicator, "cgo_trace", counting)
     cfgp = write_config(tmp_path, BASE)
-    out1, out2 = tmp_path / "t1", tmp_path / "t4"
-    assert main(["sweep", "--config", cfgp, "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", cfgp, "--out", str(out2),
-                 "--threads", "4"]) == 0
-    assert (out1 / "sweep.csv").read_text() == (out2 / "sweep.csv").read_text()
+    assert main(["sweep", "--config", cfgp, "--out", str(tmp_path / "o")]) == 0
+    # the t grid shares each trace: 6 directions x 4 tau, not x 2 t as well
+    assert len(calls) == 6 * 4
 
 
 def test_sweep_empty_problem_emits_inf_sentinel(tmp_path):
@@ -222,6 +246,25 @@ def test_sweep_eigenvalue_guard_exit_3(tmp_path, capsys):
     assert rc == 3
     assert "solver guard" in capsys.readouterr().err
     assert not (tmp_path / "eig" / "sweep.csv").exists()
+
+
+OVERFLOW_CONFIGS = [
+    ("transmission L=82", dict(BASE, problem="transmission",
+                               medium={"mu_contrast": 0.5},
+                               truncation_degree=82)),
+    ("pec L=136", dict(BASE, truncation_degree=136)),
+]
+
+
+@pytest.mark.parametrize("label,doc", OVERFLOW_CONFIGS,
+                         ids=[c[0] for c in OVERFLOW_CONFIGS])
+def test_sweep_radial_overflow_exit_3(tmp_path, capsys, label, doc):
+    # the radial functions leave the double range below the truncation degree
+    rc = main(["sweep", "--config", write_config(tmp_path, doc),
+               "--out", str(tmp_path / "ovf")])
+    assert rc == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "ovf" / "sweep.csv").exists()
 
 
 def test_reconstruct_guard_exit_3(tmp_path):
