@@ -281,6 +281,12 @@ def load_config(path: str, environ=None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {path} "
+                          f"(byte {exc.start}: {exc.reason})")
+    except OSError as exc:
+        raise ConfigError(f"config file cannot be read: {path} "
+                          f"({exc.strerror or exc})")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     doc = _apply_env_overrides(doc, environ)

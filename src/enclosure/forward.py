@@ -12,6 +12,7 @@ entries free of subtractive cancellation.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -133,14 +134,22 @@ class FieldSolution:
         """
         reg = self._region_at(r)
         z = reg.wavenumber * r
-        psi, dpsi, chi, dchi = riccati_tables(self.L, z)
+        # a regular region (the inner ball) has no chi part, and chi
+        # overflows there near the origin: 0 * inf would be NaN
+        regular = not np.any(reg.cy)
+        with (np.errstate(over="ignore", invalid="ignore") if regular
+              else contextlib.nullcontext()):
+            psi, dpsi, chi, dchi = riccati_tables(self.L, z)
         ll = np.arange(self.L + 1, dtype=float)
         lhat = ll * (ll + 1.0)
         sq = np.sqrt(lhat)
-        z_te = reg.cj[TE] * psi + reg.cy[TE] * chi
-        dz_te = reg.cj[TE] * dpsi + reg.cy[TE] * dchi
-        z_tm = reg.cj[TM] * psi + reg.cy[TM] * chi
-        dz_tm = reg.cj[TM] * dpsi + reg.cy[TM] * dchi
+        z_te, dz_te = reg.cj[TE] * psi, reg.cj[TE] * dpsi
+        z_tm, dz_tm = reg.cj[TM] * psi, reg.cj[TM] * dpsi
+        if not regular:
+            z_te = z_te + reg.cy[TE] * chi
+            dz_te = dz_te + reg.cy[TE] * dchi
+            z_tm = z_tm + reg.cy[TM] * chi
+            dz_tm = dz_tm + reg.cy[TM] * dchi
         hf = reg.h_factor
         return {
             "E_V": -sq * z_te / z,

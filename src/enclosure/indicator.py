@@ -26,6 +26,7 @@ from .mathkit import ScaledComplex, VshCoeffs, scaled
 from .mathkit.vsh import VshTransform, get_transform
 
 DEFAULT_TAIL_TOL = 1e-8
+_LN2 = math.log(2.0)
 
 
 def auto_degree(tau_max: float, k: float, r_domain: float) -> int:
@@ -69,8 +70,13 @@ def cgo_trace(probe: CgoProbe, r_domain: float, L: int,
     xp = grid.nodes @ probe.frame.rho_perp
     factor = np.exp(probe.tau * r_domain * (xr - 1.0)
                     + 1j * probe.phase_wavenumber * r_domain * xp)
-    e0m = probe.eta[None, :] * factor[:, None]
-    trace = np.cross(grid.nodes, e0m)
+    # nu ^ (eta factor), component by component
+    x, y, z = grid.nodes.T
+    ex, ey, ez = probe.eta
+    trace = np.empty((grid.n_nodes, 3), dtype=complex)
+    trace[:, 0] = (y * ez - z * ey) * factor
+    trace[:, 1] = (z * ex - x * ez) * factor
+    trace[:, 2] = (x * ey - y * ex) * factor
     coeffs = tr.analyze(trace)
     coeffs.ln_scale = probe.tau * (r_domain - probe.t)
     tail = coeffs.tail_fraction()
@@ -106,12 +112,11 @@ def indicator_value(op_d: ImpedanceOperator, op_empty: ImpedanceOperator,
     pref = 1j * probe.k * probe.tau * op_d.r_domain**2
     terms = pref * (np.conj(dlam[TE]) * energies[POL_U]
                     - np.conj(dlam[TM]) * energies[POL_V])
-    total = ScaledComplex.zero()
-    expo = 2.0 * trace.ln_scale
-    for term in terms:
-        if term != 0.0:
-            total = total + scaled(term, expo)
-    return total
+    # every term carries exp(2 ln_scale): sum the mantissas once, rescaled
+    # by the exact power of two of the largest term
+    _, nbits = math.frexp(float(np.max(np.abs(terms))))
+    total = complex(np.sum(terms * math.ldexp(1.0, -nbits)))
+    return scaled(total, 2.0 * trace.ln_scale + nbits * _LN2)
 
 
 # ---------------------------------------------------------------------------
@@ -165,32 +170,26 @@ class IndicatorEngine:
     def probe(self, rho, tau: float, t: float) -> CgoProbe:
         return build_probe(self.config.k, tau, t, rho, self.config.mode())
 
-    def sample(self, rho, tau: float, t: float,
-               trace: VshCoeffs | None = None) -> IndicatorSample:
-        probe = self.probe(rho, tau, t)
-        if trace is None:
-            trace, tail = cgo_trace(probe, self.r_domain, self.L, self.transform)
-        else:
-            tail = trace.tail_fraction()
-        trusted = tail <= self.config.tail_tol
-        value = indicator_value(self.op_d, self.op_empty, probe, trace=trace)
-        return IndicatorSample(rho=np.asarray(rho, dtype=float), tau=tau, t=t,
-                               value=value, trace_tail=tail, trusted=trusted)
+    def sample(self, rho, tau: float, t: float) -> IndicatorSample:
+        return self.t_sweep(rho, tau, [t])[0]
 
     def tau_sweep(self, rho, t: float, taus) -> list[IndicatorSample]:
         return [self.sample(rho, float(tau), t) for tau in taus]
 
     def t_sweep(self, rho, tau: float, ts) -> list[IndicatorSample]:
-        """Samples over t at fixed tau; the trace mantissa is shared."""
+        """Samples over t at fixed tau; one probe and one trace mantissa shared."""
+        ts = [float(t) for t in ts]
+        if not ts:
+            return []
+        probe = self.probe(rho, float(tau), ts[0])
+        base, tail = cgo_trace(probe, self.r_domain, self.L, self.transform)
         out = []
-        base = None
         for t in ts:
-            probe = self.probe(rho, float(tau), float(t))
-            if base is None:
-                base, _ = cgo_trace(probe, self.r_domain, self.L, self.transform)
-            trace = VshCoeffs(base.L, base.data,
-                              ln_scale=tau * (self.r_domain - float(t)))
-            out.append(self.sample(rho, float(tau), float(t), trace=trace))
+            trace = VshCoeffs(base.L, base.data, ln_scale=probe.tau * (self.r_domain - t))
+            value = indicator_value(self.op_d, self.op_empty, probe, trace=trace)
+            out.append(IndicatorSample(rho=np.asarray(rho, dtype=float), tau=probe.tau,
+                                       t=t, value=value, trace_tail=tail,
+                                       trusted=tail <= self.config.tail_tol))
         return out
 
 

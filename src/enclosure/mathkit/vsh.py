@@ -5,9 +5,10 @@ Y_lm with Condon-Shortley phase, U_lm = grad_S Y / sqrt(l(l+1)),
 V_lm = r^ x U_lm.  Coefficients are stored densely as data[pol, l, m+L]
 with pol 0 = grad-type (U) and pol 1 = curl-type (V).
 
-The transform is seminaive: an FFT in azimuth followed by per-order
-Legendre sums, O(L^3) per field, exact for band-limited input on the
-matched quadrature grid.
+The transform is seminaive: an FFT in azimuth followed by the Legendre
+sums of all orders as one batched product against per-order tables,
+O(L^3) per field, exact for band-limited input on the matched quadrature
+grid.
 """
 
 from __future__ import annotations
@@ -71,10 +72,13 @@ class VshCoeffs:
 
 
 def _alp_tables(L: int, ct: np.ndarray, st: np.ndarray):
-    """Dense normalized-ALP tables P, dP/dtheta, m P/sin(theta).
+    """Dense normalized-ALP tables in per-order layout.
 
-    Shapes (L+1, L+1, n): index [l, m, node], zero for m > l.  Includes the
-    Condon-Shortley phase; Y_lm = P[l, m] * exp(i m phi) for m >= 0.
+    Returns P of shape (L+1, L+1, n), index [m, l, node], and DS of shape
+    (L+1, 2(L+1), n), index [m, row, node]: rows 0..L hold dP/dtheta of
+    degree l and rows L+1..2L+1 hold m P / sin(theta) of degree l.  Entries
+    with m > l are zero.  Includes the Condon-Shortley phase;
+    Y_lm = P[m, l] * exp(i m phi) for m >= 0.
     """
     n = len(ct)
     P = np.zeros((L + 1, L + 1, n))
@@ -82,38 +86,75 @@ def _alp_tables(L: int, ct: np.ndarray, st: np.ndarray):
     for m in range(1, L + 1):
         P[m, m] = -math.sqrt((2 * m + 1.0) / (2 * m)) * st * P[m - 1, m - 1]
     for m in range(0, L):
-        P[m + 1, m] = math.sqrt(2 * m + 3.0) * ct * P[m, m]
+        P[m, m + 1] = math.sqrt(2 * m + 3.0) * ct * P[m, m]
     for m in range(0, L + 1):
         for l in range(m + 2, L + 1):
             a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
             b = math.sqrt(((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m))
                           / ((2.0 * l - 3.0) * (l * l - m * m)))
-            P[l, m] = a * ct * P[l - 1, m] - b * P[l - 2, m]
+            P[m, l] = a * ct * P[m, l - 1] - b * P[m, l - 2]
 
+    # only rows l >= m are written: the zero triangle stays untouched, so
+    # its pages are never made resident
     cot = ct / st
-    D = np.zeros_like(P)
-    S = np.zeros_like(P)
-    for l in range(0, L + 1):
-        for m in range(0, l + 1):
-            D[l, m] = m * cot * P[l, m]
-            if m + 1 <= l:
-                D[l, m] += math.sqrt((l - m) * (l + m + 1.0)) * P[l, m + 1]
-            if m:
-                S[l, m] = m * P[l, m] / st
-    return P, D, S
+    DS = np.zeros((L + 1, 2 * (L + 1), n))
+    for m in range(0, L + 1):
+        D = DS[m, m:L + 1]
+        D[:] = m * cot * P[m, m:]
+        if m < L:
+            ll = np.arange(m, L + 1, dtype=float)
+            D += np.sqrt((ll - m) * (ll + m + 1.0))[:, None] * P[m + 1, m:]
+        if m:
+            DS[m, L + 1 + m:] = m * P[m, m:] / st
+    return P, DS
+
+
+def _norm(a: np.ndarray) -> float:
+    """Euclidean norm of a contiguous complex array, summed by einsum.
+
+    np.linalg.norm calls a BLAS dot, which wakes OpenBLAS's thread pool on
+    long vectors; its idle threads then spin between samples.
+    """
+    v = a.view(float).ravel()
+    return math.sqrt(np.einsum("i,i->", v, v))
+
+
+def _table_times(table: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """table @ cols per order, a real table against complex columns.
+
+    The float view of complex columns interleaves real and imaginary
+    parts, so one real product gives the complex result's float view.
+    """
+    return np.matmul(table, np.ascontiguousarray(cols).view(float)).view(complex)
+
+
+def _times_table(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """rows @ table per order, complex rows against a real table."""
+    k = rows.shape[-2]
+    prod = np.matmul(np.concatenate([rows.real, rows.imag], axis=-2), table)
+    return prod[..., :k, :] + 1j * prod[..., k:, :]
 
 
 class VshTransform:
-    """Forward/inverse scalar and tangential-vector transforms on a grid."""
+    """Forward/inverse scalar and tangential-vector transforms on a grid.
+
+    The Legendre step of every transform is one batched product over the
+    orders m = 0..L against the per-order tables; orders +m and -m share
+    the |m| table.  D3 and S3 are [l, m, node] views of the DS table.
+    """
 
     def __init__(self, grid: SphereGrid):
         self.grid = grid
-        self.L = grid.max_degree
+        L = self.L = grid.max_degree
         st = np.sqrt(1.0 - grid.cos_theta**2)
-        self.P3, self.D3, self.S3 = _alp_tables(self.L, grid.cos_theta, st)
-        ll = np.arange(self.L + 1, dtype=float)
+        self.P, self.DS = _alp_tables(L, grid.cos_theta, st)
+        self.D3 = self.DS[:, :L + 1].transpose(1, 0, 2)
+        self.S3 = self.DS[:, L + 1:].transpose(1, 0, 2)
+        ll = np.arange(L + 1, dtype=float)
         with np.errstate(divide="ignore"):
             self.inv_sqrt_ll = np.where(ll > 0, 1.0 / np.sqrt(ll * (ll + 1.0)), 0.0)
+        # Condon-Shortley factor (-1)^m of order -m against order +m
+        self.neg_sign = np.where(np.arange(L + 1) % 2, -1.0, 1.0)
 
     # ---- azimuthal step ----
 
@@ -125,6 +166,32 @@ class VshTransform:
         g = self.grid
         return (np.fft.ifft(modes, axis=1) * g.n_phi).reshape(-1)
 
+    def _order_columns(self, *modes: np.ndarray) -> np.ndarray:
+        """Weighted azimuthal modes of each input at +m, then at -m.
+
+        Shape (L+1, n_theta, 2 len(modes)), index [m, theta node, column].
+        """
+        m = np.arange(self.L + 1)
+        w = self.grid.gl_weights
+        cols = [F[:, m].T * w for F in modes] + [F[:, -m].T * w for F in modes]
+        return np.stack(cols, axis=-1)
+
+    def _dense(self, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+        """(L+1, 2L+1) [l, m+L] array from [|m|, l] rows at +m and -m."""
+        L = self.L
+        out = np.empty((L + 1, 2 * L + 1), dtype=complex)
+        out[:, L:] = pos.T
+        out[:, :L] = neg[:0:-1].T
+        return out
+
+    def _azimuthal(self, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+        """Azimuthal mode array from [|m|, node] rows at +m and -m."""
+        g, L = self.grid, self.L
+        G = np.zeros((g.n_theta, g.n_phi), dtype=complex)
+        G[:, :L + 1] = pos.T
+        G[:, g.n_phi - L:] = neg[:0:-1].T
+        return G
+
     # ---- tangential vector transform ----
 
     def analyze(self, samples: np.ndarray, tangent_tol: float = 1e-10) -> VshCoeffs:
@@ -133,35 +200,32 @@ class VshTransform:
         Raises NotTangential when the radial leakage exceeds tangent_tol
         relative to the field norm.
         """
-        f = np.asarray(samples, dtype=complex)
+        f = np.ascontiguousarray(samples, dtype=complex)
         g = self.grid
-        fr = np.einsum("ni,ni->n", f, g.r_hat.astype(complex))
-        norm = float(np.linalg.norm(f))
-        if norm > 0.0 and float(np.linalg.norm(fr)) > tangent_tol * norm:
+
+        def along(basis):
+            return f[:, 0] * basis[:, 0] + f[:, 1] * basis[:, 1] + f[:, 2] * basis[:, 2]
+
+        fr = along(g.r_hat)
+        norm = _norm(f)
+        if norm > 0.0 and _norm(fr) > tangent_tol * norm:
             raise NotTangential(
-                f"radial leakage {np.linalg.norm(fr) / norm:.3e} exceeds {tangent_tol:.1e}")
-        ft = np.einsum("ni,ni->n", f, g.theta_hat.astype(complex))
-        fp = np.einsum("ni,ni->n", f, g.phi_hat.astype(complex))
-        return self.analyze_components(ft, fp)
+                f"radial leakage {_norm(fr) / norm:.3e} exceeds {tangent_tol:.1e}")
+        return self.analyze_components(along(g.theta_hat), along(g.phi_hat))
 
     def analyze_components(self, f_theta: np.ndarray, f_phi: np.ndarray) -> VshCoeffs:
-        L, g = self.L, self.grid
-        Ft = self._fft_modes(f_theta)
-        Fp = self._fft_modes(f_phi)
-        w = self.grid.gl_weights
-        data = np.zeros((2, L + 1, 2 * L + 1), dtype=complex)
-        for m in range(-L, L + 1):
-            am = abs(m)
-            gt = w * Ft[:, m % g.n_phi]
-            gp = w * Fp[:, m % g.n_phi]
-            lmin = max(1, am)
-            D = self.D3[lmin:, am, :]
-            S = self.S3[lmin:, am, :]
-            sgn = -1.0 if (m < 0 and am % 2) else 1.0
-            ssgn = sgn if m >= 0 else -sgn
-            inv = self.inv_sqrt_ll[lmin:]
-            data[POL_U, lmin:, m + L] = inv * (sgn * (D @ gt) - 1j * ssgn * (S @ gp))
-            data[POL_V, lmin:, m + L] = inv * (1j * ssgn * (S @ gt) + sgn * (D @ gp))
+        L = self.L
+        cols = self._order_columns(self._fft_modes(f_theta), self._fft_modes(f_phi))
+        prod = _table_times(self.DS, cols)          # (L+1, 2(L+1), 4)
+        # columns: F_theta, F_phi at +m, then F_theta, F_phi at -m
+        Dg, Sg = prod[:, :L + 1], prod[:, L + 1:]
+        inv = self.inv_sqrt_ll
+        sgn = self.neg_sign[:, None]
+        data = np.empty((2, L + 1, 2 * L + 1), dtype=complex)
+        data[POL_U] = self._dense(inv * (Dg[..., 0] - 1j * Sg[..., 1]),
+                                  inv * sgn * (Dg[..., 2] + 1j * Sg[..., 3]))
+        data[POL_V] = self._dense(inv * (Dg[..., 1] + 1j * Sg[..., 0]),
+                                  inv * sgn * (Dg[..., 3] - 1j * Sg[..., 2]))
         return VshCoeffs(L, data)
 
     def synthesize(self, coeffs: VshCoeffs) -> np.ndarray:
@@ -174,53 +238,39 @@ class VshTransform:
         return ft[:, None] * g.theta_hat + fp[:, None] * g.phi_hat
 
     def synthesize_components(self, coeffs: VshCoeffs):
-        L, g = self.L, self.grid
+        L = self.L
         if coeffs.L != L:
             raise ValueError("coefficient degree does not match the grid")
-        Gt = np.zeros((g.n_theta, g.n_phi), dtype=complex)
-        Gp = np.zeros_like(Gt)
-        for m in range(-L, L + 1):
-            am = abs(m)
-            lmin = max(1, am)
-            cu = coeffs.data[POL_U, lmin:, m + L] * self.inv_sqrt_ll[lmin:]
-            cv = coeffs.data[POL_V, lmin:, m + L] * self.inv_sqrt_ll[lmin:]
-            if not (np.any(cu) or np.any(cv)):
-                continue
-            D = self.D3[lmin:, am, :]
-            S = self.S3[lmin:, am, :]
-            sgn = -1.0 if (m < 0 and am % 2) else 1.0
-            ssgn = sgn if m >= 0 else -sgn
-            col = m % g.n_phi
-            Gt[:, col] += sgn * (cu @ D) - 1j * ssgn * (cv @ S)
-            Gp[:, col] += 1j * ssgn * (cu @ S) + sgn * (cv @ D)
-        return self._ifft_modes(Gt), self._ifft_modes(Gp)
+        c = coeffs.data * self.inv_sqrt_ll[:, None]
+        # [|m|, l] coefficients at +m and at -m (the -0 row repeats m = 0)
+        cu, cv = c[POL_U, :, L:].T, c[POL_V, :, L:].T
+        cu_n, cv_n = c[POL_U, :, L::-1].T, c[POL_V, :, L::-1].T
+        # a row [a | b] against [D; S] gives a @ D + b @ S
+        rows = np.stack([
+            np.concatenate([cu, -1j * cv], axis=1),        # G_theta at +m
+            np.concatenate([cv, 1j * cu], axis=1),         # G_phi at +m
+            np.concatenate([cu_n, 1j * cv_n], axis=1),     # G_theta at -m
+            np.concatenate([cv_n, -1j * cu_n], axis=1),    # G_phi at -m
+        ], axis=1)
+        G = _times_table(rows, self.DS)                    # (L+1, 4, n_theta)
+        sgn = self.neg_sign[:, None]
+        return (self._ifft_modes(self._azimuthal(G[:, 0], sgn * G[:, 2])),
+                self._ifft_modes(self._azimuthal(G[:, 1], sgn * G[:, 3])))
 
     # ---- scalar transform (radial components, surface divergences) ----
 
     def analyze_scalar(self, values: np.ndarray) -> np.ndarray:
         """Scalar Y_lm coefficients, shape (L+1, 2L+1)."""
-        L, g = self.L, self.grid
         F = self._fft_modes(np.asarray(values, dtype=complex))
-        w = self.grid.gl_weights
-        out = np.zeros((L + 1, 2 * L + 1), dtype=complex)
-        for m in range(-L, L + 1):
-            am = abs(m)
-            gv = w * F[:, m % g.n_phi]
-            sgn = -1.0 if (m < 0 and am % 2) else 1.0
-            out[am:, m + L] = sgn * (self.P3[am:, am, :] @ gv)
-        return out
+        prod = _table_times(self.P, self._order_columns(F))   # (L+1, L+1, 2)
+        return self._dense(prod[..., 0], self.neg_sign[:, None] * prod[..., 1])
 
     def synth_scalar(self, carr: np.ndarray) -> np.ndarray:
-        L, g = self.L, self.grid
-        G = np.zeros((g.n_theta, g.n_phi), dtype=complex)
-        for m in range(-L, L + 1):
-            am = abs(m)
-            c = carr[am:, m + L]
-            if not np.any(c):
-                continue
-            sgn = -1.0 if (m < 0 and am % 2) else 1.0
-            G[:, m % g.n_phi] += sgn * (c @ self.P3[am:, am, :])
-        return self._ifft_modes(G)
+        L = self.L
+        rows = np.stack([carr[:, L:].T, carr[:, L::-1].T], axis=1)
+        G = _times_table(rows, self.P)                          # (L+1, 2, n_theta)
+        return self._ifft_modes(
+            self._azimuthal(G[:, 0], self.neg_sign[:, None] * G[:, 1]))
 
     def synth_vector(self, c_radial: np.ndarray | None, coeffs: VshCoeffs | None) -> np.ndarray:
         """Full vector field: radial Y_lm part plus tangential part."""

@@ -106,6 +106,22 @@ def test_validate_missing_file(capsys):
     assert rc == 2
 
 
+def test_validate_directory_path_exit_2(tmp_path, capsys):
+    rc = main(["validate", "--config", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cannot be read" in err and "Traceback" not in err
+
+
+def test_validate_non_utf8_config_exit_2(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_bytes(json.dumps(BASE).encode("utf-16"))
+    rc = main(["validate", "--config", str(p)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and len(err.strip().splitlines()) == 1
+
+
 def test_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("ENCLOSURE_GEOMETRY__R_OBSTACLE", "0.25")
     monkeypatch.setenv("ENCLOSURE_WAVE_NUMBER", "1.5")

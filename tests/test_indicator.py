@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from enclosure.cgo import CgoMode, build_probe, eval_cgo_batch
+from enclosure.conventions import POL_U, POL_V, TE, TM
 from enclosure.errors import TruncationInsufficient
 from enclosure.forward import (Geometry, Medium, solution_empty, solution_pec,
                                solution_transmission)
@@ -11,7 +12,7 @@ from enclosure.indicator import (IndicatorEngine, SweepConfig, auto_degree,
                                  cgo_trace, indicator_value, t_sweep,
                                  tau_sweep, volume_indicator_pec,
                                  volume_indicator_transmission)
-from enclosure.mathkit import get_transform
+from enclosure.mathkit import ScaledComplex, get_transform, scaled
 
 K = 1.0
 GEOM = Geometry(0.5, 1.0)
@@ -169,6 +170,21 @@ def test_transmission_energy_identity_and_inequality():
     assert lhs >= rhs - 1e-9 * abs(lhs)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [10.0, 20.0])
+def test_transmission_energy_identity_at_shipped_degree(tau):
+    """Shipped transmission geometry and contrast at L = 64: the regular
+    inner-ball fields stay finite down to the origin, so both sides agree."""
+    L = 64
+    med = Medium(0.5)
+    sol = solution_transmission(K, GEOM, med, L)
+    op_e = solution_empty(K, 1.0, L).operator
+    probe = build_probe(K, tau, 0.0, RHO, CgoMode.PENETRABLE)
+    bdry = indicator_value(sol.operator, op_e, probe).to_complex()
+    vol = volume_indicator_transmission(probe, GEOM, med, sol.operator, solution=sol)
+    assert abs(bdry.real - vol) < 1e-9 * abs(vol)
+
+
 def test_volume_indicator_degenerate_obstacle():
     """No obstacle: both volume terms vanish to truncation level."""
     L = 32
@@ -258,3 +274,32 @@ def test_empty_problem_sweeps_to_zero():
     sweep = tau_sweep(RHO, 0.5, [5.0, 6.0], cfg)
     assert all(s.value.is_zero for s in sweep)
     assert all(s.ln_abs == -math.inf for s in sweep)
+
+
+def reference_indicator_sum(engine, probe, trace):
+    """The Parseval sum as L per-degree ScaledComplex additions."""
+    dlam = engine.op_d.diff_empty
+    energies = trace.degree_energies()
+    pref = 1j * probe.k * probe.tau * engine.op_d.r_domain**2
+    terms = pref * (np.conj(dlam[TE]) * energies[POL_U]
+                    - np.conj(dlam[TM]) * energies[POL_V])
+    total = ScaledComplex.zero()
+    for term in terms:
+        if term != 0.0:
+            total = total + scaled(term, 2.0 * trace.ln_scale)
+    return total
+
+
+@pytest.mark.parametrize("problem", ["pec", "transmission"])
+def test_indicator_value_matches_per_degree_sum(problem):
+    cfg = SweepConfig(problem=problem, geometry=GEOM, k=K, L=64,
+                      medium=Medium(0.5) if problem == "transmission" else None)
+    eng = IndicatorEngine(cfg, tau_max=50.0)
+    rho = np.array([0.6, 0.0, 0.8])
+    for tau in (10.0, 20.0, 30.0, 40.0, 50.0):
+        for s in eng.t_sweep(rho, tau, [0.3, 0.7]):
+            probe = eng.probe(rho, tau, s.t)
+            trace, _ = cgo_trace(probe, GEOM.r_domain, eng.L, eng.transform)
+            ref = reference_indicator_sum(eng, probe, trace)
+            diff = s.value - ref
+            assert diff.is_zero or diff.ln_abs() - ref.ln_abs() < math.log(1e-13)

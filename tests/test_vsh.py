@@ -18,6 +18,82 @@ def random_coeffs(L, seed=0):
     return c
 
 
+def reference_analyze(tr, f_theta, f_phi):
+    """Per-order loop over m = -L..L: the seminaive analysis, one matvec
+    per order and table."""
+    L, g = tr.L, tr.grid
+
+    def modes(v):
+        return np.fft.fft(v.reshape(g.n_theta, g.n_phi), axis=1) * (2.0 * np.pi / g.n_phi)
+
+    Ft, Fp = modes(f_theta), modes(f_phi)
+    w = g.gl_weights
+    data = np.zeros((2, L + 1, 2 * L + 1), dtype=complex)
+    for m in range(-L, L + 1):
+        am = abs(m)
+        gt = w * Ft[:, m % g.n_phi]
+        gp = w * Fp[:, m % g.n_phi]
+        lmin = max(1, am)
+        D = tr.D3[lmin:, am, :]
+        S = tr.S3[lmin:, am, :]
+        sgn = -1.0 if (m < 0 and am % 2) else 1.0
+        ssgn = sgn if m >= 0 else -sgn
+        inv = tr.inv_sqrt_ll[lmin:]
+        data[POL_U, lmin:, m + L] = inv * (sgn * (D @ gt) - 1j * ssgn * (S @ gp))
+        data[POL_V, lmin:, m + L] = inv * (1j * ssgn * (S @ gt) + sgn * (D @ gp))
+    return data
+
+
+def reference_synthesize(tr, coeffs):
+    """Per-order loop over m = -L..L: the seminaive synthesis."""
+    L, g = tr.L, tr.grid
+    Gt = np.zeros((g.n_theta, g.n_phi), dtype=complex)
+    Gp = np.zeros_like(Gt)
+    for m in range(-L, L + 1):
+        am = abs(m)
+        lmin = max(1, am)
+        cu = coeffs.data[POL_U, lmin:, m + L] * tr.inv_sqrt_ll[lmin:]
+        cv = coeffs.data[POL_V, lmin:, m + L] * tr.inv_sqrt_ll[lmin:]
+        D = tr.D3[lmin:, am, :]
+        S = tr.S3[lmin:, am, :]
+        sgn = -1.0 if (m < 0 and am % 2) else 1.0
+        ssgn = sgn if m >= 0 else -sgn
+        col = m % g.n_phi
+        Gt[:, col] += sgn * (cu @ D) - 1j * ssgn * (cv @ S)
+        Gp[:, col] += 1j * ssgn * (cu @ S) + sgn * (cv @ D)
+    return ((np.fft.ifft(Gt, axis=1) * g.n_phi).reshape(-1),
+            (np.fft.ifft(Gp, axis=1) * g.n_phi).reshape(-1))
+
+
+@pytest.mark.parametrize("L", [1, 2, 7, 24])
+def test_batched_transforms_match_per_order_loops(L):
+    tr = get_transform(L)
+    rng = np.random.default_rng(L)
+    n = tr.grid.n_nodes
+    ft, fp = (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+    ref = reference_analyze(tr, ft, fp)
+    got = tr.analyze_components(ft, fp).data
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    c = random_coeffs(L, seed=L + 1)
+    for got, ref in zip(tr.synthesize_components(c), reference_synthesize(tr, c)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("L", [1, 8, 24])
+def test_transform_tables_hold_three_cubes(L):
+    """P, D and S take 3 (L+1)^3 doubles in all: D3 and S3 are views."""
+    tr = get_transform(L)
+    roots = {}
+    for value in vars(tr).values():
+        if isinstance(value, np.ndarray) and value.ndim == 3:
+            while value.base is not None:
+                value = value.base
+            roots[id(value)] = value
+    assert all(r.dtype == np.float64 for r in roots.values())
+    assert sum(r.nbytes for r in roots.values()) == 3 * (L + 1) ** 3 * 8
+
+
 def test_single_mode_roundtrip():
     L = 6
     grid = sphere_quadrature(L)
