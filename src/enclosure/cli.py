@@ -1,9 +1,10 @@
 """Batch front end: validate | sweep | reconstruct | selftest.
 
-Exit codes: 0 success, 1 selftest failure, 2 invalid configuration,
-3 solver guard tripped, 4 hull infeasible/unbounded.  Outputs are written
-atomically (temp file + rename) so failed runs leave no partial files;
-an identical config yields byte-identical bytes.
+Exit codes: 0 success, 1 selftest failure, 2 invalid configuration or
+unwritable output, 3 solver guard tripped, 4 hull infeasible/unbounded.
+Each output is written atomically (temp file + rename, the temp file
+removed if either fails) so no file is left partial; an identical config
+yields byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -45,9 +46,14 @@ def _fmt(x: float) -> str:
 
 def _atomic_write(path: str, text: str):
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _engine_for(config: RunConfig) -> IndicatorEngine:
@@ -183,13 +189,17 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     out = args.out or config.output_dir
-    os.makedirs(out, exist_ok=True)
     command = cmd_sweep if args.command == "sweep" else cmd_reconstruct
     try:
+        os.makedirs(out, exist_ok=True)
         return command(config, out)
     except _GUARD_ERRORS as exc:
         print(f"solver guard: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:
+        # the commands touch the file system only to write their outputs
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -5,9 +5,12 @@ The indicator pairs the CGO trace with the impedance-difference response:
         (nu^E0) . conj(((Lambda_D - Lambda_empty)(nu^E0)) ^ nu) dS.
 Computed entirely in coefficient space (Parseval), with the CGO's
 exponential magnitude peeled into a shared log-scale so sweeps stay exact
-far beyond the double range.  Energy identities relate -I/tau to volume
-integrals of the probe and scattered fields; both assemblies live here as
-independent computation paths.
+far beyond the double range.  The sum needs only the degree energies of
+the trace: the engine takes them in closed form (`trace_energies`), while
+`cgo_trace` analyzes the sampled trace and stays the independent path of
+the tests, the selftest and the volume oracles.  Energy identities relate
+-I/tau to volume integrals of the probe and scattered fields; both
+assemblies live here as independent computation paths.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from .errors import QuadratureUnderResolved, TruncationInsufficient
 from .forward import (FieldSolution, Geometry, ImpedanceOperator, Medium,
                       solution_empty, solution_pec, solution_transmission)
 from .mathkit import ScaledComplex, VshCoeffs, scaled
-from .mathkit.vsh import VshTransform, get_transform
+from .mathkit.bessel import riccati_j_logs
+from .mathkit.vsh import VshTransform, get_transform, tail_fraction
 
 DEFAULT_TAIL_TOL = 1e-8
 _LN2 = math.log(2.0)
@@ -86,6 +90,96 @@ def cgo_trace(probe: CgoProbe, r_domain: float, L: int,
     return coeffs, tail
 
 
+def trace_radial_logs(k: float, r_domain: float, L: int) -> np.ndarray:
+    """The tau-independent factors of the trace energies, in log scale.
+
+    Row POL_U holds log((4 pi)^2 (2l+1) / (4 pi l (l+1)) j_l(kR)^2) and row
+    POL_V the same with psi_l'(kR) / kR in place of j_l(kR); degree 0 is
+    -inf (the tangential trace has no l = 0 part).
+    """
+    log_j, log_dpsi = riccati_j_logs(L, k * r_domain)
+    ell = np.arange(1, L + 1)
+    out = np.full((2, L + 1), -np.inf)
+    base = np.log(4.0 * math.pi * (2 * ell + 1) / (ell * (ell + 1.0)))
+    out[POL_U, 1:] = base + 2.0 * log_j[1:]
+    out[POL_V, 1:] = base + 2.0 * log_dpsi[1:]
+    return out
+
+
+def _legendre_derivatives(s: float, L: int):
+    """(P_l'(s), P_l''(s), ln_shift) for l = 1..L (L >= 1) at s >= 1; each
+    value is the returned mantissa times exp(ln_shift).
+
+    P_l by the upward three-term recurrence (stable for s > 1, where P_l
+    is the dominant solution), its derivatives by the all-positive
+    recurrences P'_{l+1} = P'_{l-1} + (2l+1) P_l and
+    P''_{l+1} = P''_{l-1} + (2l+1) P'_l.  A running power-of-two rescale
+    keeps the mantissas finite: P_l'(s) reaches 1e384 at s = 5001, l = 96.
+    """
+    p0, p1, q0, q1, r0, r1 = 1.0, s, 0.0, 1.0, 0.0, 0.0    # degrees 0 and 1
+    d1, d2, nbits = [q1], [r1], [0]
+    shift = 0
+    for l in range(1, L):
+        n = 2 * l + 1
+        p0, p1 = p1, (n * s * p1 - l * p0) / (l + 1)
+        q0, q1 = q1, q0 + n * p0
+        r0, r1 = r1, r0 + n * q0
+        _, e = math.frexp(max(p1, q1, r1))
+        if e > 512:
+            f = math.ldexp(1.0, -e)
+            p0, p1, q0, q1, r0, r1 = p0 * f, p1 * f, q0 * f, q1 * f, r0 * f, r1 * f
+            shift += e
+        d1.append(q1)
+        d2.append(r1)
+        nbits.append(shift)
+    return np.array(d1), np.array(d2), np.array(nbits) * _LN2
+
+
+def trace_energies(probe: CgoProbe, r_domain: float, L: int,
+                   radial: np.ndarray | None = None) -> np.ndarray:
+    """Degree energies sum_m |h_lm|^2 of the nu^E0 trace, in closed form.
+
+    Returns the (2, L+1) U/V energies on the mantissa scale of
+    `cgo_trace(...).degree_energies()`, that is, times exp(-2 tau R):
+        U_l = (4 pi)^2 j_l(kR)^2 A_l(eta),
+        V_l = (4 pi)^2 (psi_l'(kR) / kR)^2 A_l(zeta x eta / k),
+        A_l(w) = (2l+1) / (4 pi l (l+1))
+                 (|u|^2 P_l'(s) / k^2 + |u.conj(zeta)|^2 P_l''(s) / k^4),
+    with u = w x zeta and s = zeta.conj(zeta) / k^2.  This is the addition
+    theorem for the solid harmonics, continued to the complex wave vector
+    zeta and differentiated along u and conj(u).  Each degree costs O(1)
+    and the result is exact: no quadrature, no truncation of the field.
+    `radial` is `trace_radial_logs(k, r_domain, L)`, computed here if None.
+    """
+    k, tau = probe.k, probe.tau
+    if radial is None:
+        radial = trace_radial_logs(k, r_domain, L)
+    d1, d2, ln_shift = _legendre_derivatives((2.0 * tau * tau + k * k) / (k * k), L)
+    zeta = probe.zeta
+    out = np.zeros((2, L + 1))
+    for pol, w in ((POL_U, probe.eta), (POL_V, np.cross(zeta, probe.eta) / k)):
+        u = np.cross(w, zeta)
+        a = float(np.vdot(u, u).real) / (k * k)
+        b = abs(u @ np.conj(zeta)) ** 2 / k**4
+        out[pol, 1:] = np.exp(radial[pol, 1:] + ln_shift - 2.0 * tau * r_domain
+                              + np.log(a * d1 + b * d2))
+    return out
+
+
+def _degree_sum(dlam: np.ndarray, probe: CgoProbe, r_domain: float,
+                energies: np.ndarray, ln_scale: float) -> ScaledComplex:
+    """exp(ln_scale) ik tau R^2 sum_l [conj(dlam_TE) U_l - conj(dlam_TM) V_l].
+
+    The terms are rescaled by the exact power of two of the largest and
+    summed once.
+    """
+    terms = 1j * probe.k * probe.tau * r_domain**2 * (
+        np.conj(dlam[TE]) * energies[POL_U] - np.conj(dlam[TM]) * energies[POL_V])
+    _, nbits = math.frexp(float(np.max(np.abs(terms))))
+    total = complex(np.sum(terms * math.ldexp(1.0, -nbits)))
+    return scaled(total, ln_scale + nbits * _LN2)
+
+
 def _operator_difference(op_d: ImpedanceOperator, op_empty: ImpedanceOperator):
     if (op_d.L != op_empty.L or op_d.k != op_empty.k
             or op_d.r_domain != op_empty.r_domain):
@@ -108,15 +202,8 @@ def indicator_value(op_d: ImpedanceOperator, op_empty: ImpedanceOperator,
     dlam = _operator_difference(op_d, op_empty)
     if trace is None:
         trace, _ = cgo_trace(probe, op_d.r_domain, op_d.L, tail_tol=tail_tol)
-    energies = trace.degree_energies()      # (2, L+1) mantissa-scale
-    pref = 1j * probe.k * probe.tau * op_d.r_domain**2
-    terms = pref * (np.conj(dlam[TE]) * energies[POL_U]
-                    - np.conj(dlam[TM]) * energies[POL_V])
-    # every term carries exp(2 ln_scale): sum the mantissas once, rescaled
-    # by the exact power of two of the largest term
-    _, nbits = math.frexp(float(np.max(np.abs(terms))))
-    total = complex(np.sum(terms * math.ldexp(1.0, -nbits)))
-    return scaled(total, 2.0 * trace.ln_scale + nbits * _LN2)
+    return _degree_sum(dlam, probe, op_d.r_domain, trace.degree_energies(),
+                       2.0 * trace.ln_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +228,7 @@ class SweepConfig:
 
 
 class IndicatorEngine:
-    """Shared operator/transform assembly for (tau, t, rho) sweeps."""
+    """Shared operator and radial-factor assembly for (tau, t, rho) sweeps."""
 
     def __init__(self, config: SweepConfig, tau_max: float):
         self.config = config
@@ -164,8 +251,9 @@ class IndicatorEngine:
         self.op_d = self.solution.operator
         self.op_empty = solution_empty(config.k, config.geometry.r_domain,
                                        self.L, guard=config.eigen_guard).operator
-        self.transform = get_transform(self.L)
         self.r_domain = config.geometry.r_domain
+        self.dlam = _operator_difference(self.op_d, self.op_empty)
+        self.radial = trace_radial_logs(config.k, self.r_domain, self.L)
 
     def probe(self, rho, tau: float, t: float) -> CgoProbe:
         return build_probe(self.config.k, tau, t, rho, self.config.mode())
@@ -177,16 +265,18 @@ class IndicatorEngine:
         return [self.sample(rho, float(tau), t) for tau in taus]
 
     def t_sweep(self, rho, tau: float, ts) -> list[IndicatorSample]:
-        """Samples over t at fixed tau; one probe and one trace mantissa shared."""
+        """Samples over t at fixed tau; one probe and one set of trace
+        energies shared, since t enters only the exponent."""
         ts = [float(t) for t in ts]
         if not ts:
             return []
         probe = self.probe(rho, float(tau), ts[0])
-        base, tail = cgo_trace(probe, self.r_domain, self.L, self.transform)
+        energies = trace_energies(probe, self.r_domain, self.L, self.radial)
+        tail = tail_fraction(energies)
         out = []
         for t in ts:
-            trace = VshCoeffs(base.L, base.data, ln_scale=probe.tau * (self.r_domain - t))
-            value = indicator_value(self.op_d, self.op_empty, probe, trace=trace)
+            value = _degree_sum(self.dlam, probe, self.r_domain, energies,
+                                2.0 * (probe.tau * (self.r_domain - t)))
             out.append(IndicatorSample(rho=np.asarray(rho, dtype=float), tau=probe.tau,
                                        t=t, value=value, trace_tail=tail,
                                        trusted=tail <= self.config.tail_tol))
@@ -353,6 +443,7 @@ def volume_indicator_transmission(probe: CgoProbe, geometry: Geometry,
 
 
 __all__ = ["IndicatorSample", "SweepConfig", "IndicatorEngine", "auto_degree",
-           "cgo_trace", "indicator_value", "tau_sweep", "t_sweep",
+           "cgo_trace", "trace_energies", "trace_radial_logs",
+           "indicator_value", "tau_sweep", "t_sweep",
            "volume_indicator_pec", "volume_indicator_transmission",
            "DEFAULT_TAIL_TOL"]

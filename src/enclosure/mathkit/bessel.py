@@ -19,6 +19,19 @@ def _start_order(lmax: int, zmax: float) -> int:
     return lmax + int(8 * math.sqrt(max(lmax, 1))) + int(1.1 * zmax) + 16
 
 
+def _jn_ratios(lmax: int, z: np.ndarray) -> np.ndarray:
+    """r_n = j_n(z) / j_{n-1}(z) for n = 1..lmax (row 0 unused), by the
+    downward recurrence; z is a nonzero array."""
+    nstart = _start_order(lmax, float(np.max(np.abs(z))) if z.size else 0.0)
+    r = z / (2 * nstart + 1.0)
+    ratios = np.zeros((lmax + 1,) + z.shape, dtype=z.dtype)
+    for n in range(nstart - 1, 0, -1):
+        r = z / ((2 * n + 1.0) - z * r)
+        if n <= lmax:
+            ratios[n] = r
+    return ratios
+
+
 def spherical_jn_table(lmax: int, z):
     """j_l(z) for l = 0..lmax; z scalar or array (real or complex).
 
@@ -31,15 +44,7 @@ def spherical_jn_table(lmax: int, z):
     small = np.abs(z) < 1e-300
     zs = np.where(small, 1.0, z)
 
-    nstart = _start_order(lmax, float(np.max(np.abs(z))) if z.size else 0.0)
-    # ratio r_n = j_n / j_{n-1} by downward recurrence
-    r = zs / (2 * nstart + 1.0)
-    ratios = np.zeros((lmax + 1,) + z.shape, dtype=zs.dtype)
-    for n in range(nstart - 1, 0, -1):
-        r = zs / ((2 * n + 1.0) - zs * r)
-        if n <= lmax:
-            ratios[n] = r
-
+    ratios = _jn_ratios(lmax, zs)
     j0 = np.sin(zs) / zs
     out[0] = np.where(small, 1.0, j0)
     acc = out[0]
@@ -63,6 +68,23 @@ def spherical_yn_table(lmax: int, z):
     for l in range(1, lmax):
         out[l + 1] = (2 * l + 1.0) / z * out[l] - out[l - 1]
     return out[:, 0] if scalar else out
+
+
+def riccati_j_logs(lmax: int, z: float):
+    """(log|j_l(z)|, log|psi_l'(z) / z|) for l = 0..lmax at a real z > 0.
+
+    Summed from the downward ratios, so neither underflows at high degree:
+    psi_l' = z j_{l-1} - l j_l = j_l (z / r_l - l) with r_l = j_l / j_{l-1}.
+    """
+    ratios = _jn_ratios(lmax, np.array([float(z)]))[:, 0]
+    log_j = np.empty(lmax + 1)
+    log_j[0] = math.log(abs(math.sin(z) / z))
+    log_j[1:] = log_j[0] + np.cumsum(np.log(np.abs(ratios[1:])))
+    log_dpsi = log_j - math.log(z)
+    log_dpsi[0] = math.log(abs(math.cos(z) / z))
+    ell = np.arange(1, lmax + 1)
+    log_dpsi[1:] += np.log(np.abs(z / ratios[1:] - ell))
+    return log_j, log_dpsi
 
 
 def sph_bessel(kind: str, l: int, z):

@@ -3,7 +3,9 @@
 The reconstruction produces per-direction support values h(rho); the body
 is the intersection of the halfspaces x . rho <= h.  scipy's halfspace
 intersection does the heavy lifting; this wrapper adds the boundedness /
-feasibility guards and a watertight triangulated mesh.
+feasibility guards and a watertight triangulated mesh.  scipy is imported
+where a hull is built, not with this module: `sweep` and `validate` build
+none, and the import is most of the start-up time of every command.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from ..errors import Infeasible, Unbounded
 
@@ -27,6 +27,7 @@ class HullMesh:
 
     @property
     def volume(self) -> float:
+        from scipy.spatial import ConvexHull
         return float(ConvexHull(self.vertices).volume)
 
     def centroid(self) -> np.ndarray:
@@ -53,6 +54,7 @@ class HullMesh:
 
 
 def _assert_bounded_feasible(rhos: np.ndarray, hs: np.ndarray):
+    from scipy.optimize import linprog
     # the region is bounded iff max +-x_j is finite for all axes
     for j in range(3):
         for sign in (1.0, -1.0):
@@ -67,6 +69,7 @@ def _assert_bounded_feasible(rhos: np.ndarray, hs: np.ndarray):
 
 
 def _chebyshev_center(rhos: np.ndarray, hs: np.ndarray):
+    from scipy.optimize import linprog
     n = len(rhos)
     a_ub = np.hstack([rhos, np.ones((n, 1))])
     res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=a_ub, b_ub=hs,
@@ -83,6 +86,7 @@ def halfspace_hull(planes) -> HullMesh:
     Raises Unbounded when the directions fail to positively span R^3 and
     Infeasible when the intersection is empty.
     """
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
     rhos, hs = [], []
     for rho, h in planes:
         rho = np.asarray(rho, dtype=float)

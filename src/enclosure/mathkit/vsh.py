@@ -63,12 +63,17 @@ class VshCoeffs:
 
     def tail_fraction(self, frac: float = 0.1) -> float:
         """Fraction of coefficient energy in the top `frac` of degrees."""
-        per_l = np.sum(self.degree_energies(), axis=0)
-        total = float(per_l.sum())
-        if total == 0.0:
-            return 0.0
-        l0 = max(1, int(math.ceil((1.0 - frac) * self.L)))
-        return float(per_l[l0:].sum()) / total
+        return tail_fraction(self.degree_energies(), frac)
+
+
+def tail_fraction(energies: np.ndarray, frac: float = 0.1) -> float:
+    """Fraction of the (2, L+1) degree energies in the top `frac` of degrees."""
+    per_l = np.sum(energies, axis=0)
+    total = float(per_l.sum())
+    if total == 0.0:
+        return 0.0
+    l0 = max(1, int(math.ceil((1.0 - frac) * (len(per_l) - 1))))
+    return float(per_l[l0:].sum()) / total
 
 
 def _alp_tables(L: int, ct: np.ndarray, st: np.ndarray):

@@ -19,7 +19,7 @@ from . import layerpot
 from .cgo import CgoMode, build_probe, cgo_identity_defect, eval_cgo
 from .conventions import POL_U, POL_V, TE, TM
 from .forward import Geometry, solution_empty, solution_pec
-from .indicator import indicator_value
+from .indicator import cgo_trace, indicator_value, trace_energies
 from .mathkit import (VshCoeffs, build_frame, get_transform, scaled,
                       sphere_quadrature)
 
@@ -204,6 +204,22 @@ def _check_scaling_identity():
     return f"max rel defect {worst:.1e}"
 
 
+def _check_closed_form_energies():
+    """Closed-form trace energies against the VSH analysis of the sampled
+    trace.  The analysis runs at 2L: at L itself the tau = 10 trace is not
+    band-limited, and its top degrees alias."""
+    L, tau = 24, 10.0
+    worst = 0.0
+    for mode in (CgoMode.IMPENETRABLE, CgoMode.PENETRABLE):
+        p = build_probe(1.0, tau, 0.0, np.array([0.3, -0.4, 0.8]), mode)
+        closed = trace_energies(p, 1.0, L)
+        ref = cgo_trace(p, 1.0, 2 * L)[0].degree_energies()[:, :L + 1]
+        carried = ref > 1e-12 * ref.sum()
+        worst = max(worst, float(np.max(np.abs(closed - ref)[carried] / ref[carried])))
+    assert worst < 1e-8, f"closed-form energy defect {worst:.2e}"
+    return f"max rel {worst:.1e}"
+
+
 SUITES = [
     ("scaled-arithmetic", _check_scaled_arithmetic),
     ("frame-orthonormality", _check_frames),
@@ -214,6 +230,7 @@ SUITES = [
     ("jump-relation", _check_jump_relation),
     ("forward-vs-layerpot", _check_forward_vs_layerpot),
     ("scaling-identity", _check_scaling_identity),
+    ("closed-form-energies", _check_closed_form_energies),
 ]
 
 

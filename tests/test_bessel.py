@@ -7,7 +7,8 @@ import scipy.special as sps
 
 from enclosure.errors import PoleAtZero
 from enclosure.mathkit import riccati_tables, riccati_tables_at, sph_bessel
-from enclosure.mathkit.bessel import spherical_jn_table, spherical_yn_table
+from enclosure.mathkit.bessel import (riccati_j_logs, spherical_jn_table,
+                                      spherical_yn_table)
 
 
 def series_jl(l, z, dps=35, terms=60):
@@ -50,6 +51,25 @@ def test_tables_match_scipy_real_args():
     for l in (0, 1, 7, 25):
         assert np.allclose(jt[l], sps.spherical_jn(l, z), rtol=1e-12, atol=1e-300)
         assert np.allclose(yt[l], sps.spherical_yn(l, z), rtol=1e-12)
+
+
+@pytest.mark.parametrize("z", [0.5, 1.0, 3.0])
+def test_riccati_j_logs_against_mpmath(z):
+    """log|j_l| and log|psi_l'/z| stay exact where j_l itself underflows
+    (j_160(0.5) is about 1e-370)."""
+    log_j, log_dpsi = riccati_j_logs(160, z)
+    with mpmath.workdps(40):
+        zm = mpmath.mpf(z)
+
+        def j(l):
+            if l < 0:
+                return mpmath.cos(zm) / zm
+            return mpmath.sqrt(mpmath.pi / (2 * zm)) * mpmath.besselj(l + mpmath.mpf(1) / 2, zm)
+
+        for l in (0, 1, 10, 96, 160):
+            assert abs(log_j[l] - float(mpmath.log(abs(j(l))))) < 1e-11
+            dpsi = j(l - 1) - l * j(l) / zm
+            assert abs(log_dpsi[l] - float(mpmath.log(abs(dpsi)))) < 1e-11
 
 
 def test_complex_argument_against_mpmath():

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from enclosure import indicator
 from enclosure.cli import main
+from enclosure.mathkit import vsh
 from enclosure.config import load_config
 
 BASE = {
@@ -158,17 +162,63 @@ def test_sweep_csv_shape_and_determinism(tmp_path, capsys):
 
 def test_sweep_one_trace_per_direction_and_tau(tmp_path, monkeypatch):
     calls = []
-    cgo_trace = indicator.cgo_trace
+    trace_energies = indicator.trace_energies
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return cgo_trace(*args, **kwargs)
+        return trace_energies(*args, **kwargs)
 
-    monkeypatch.setattr(indicator, "cgo_trace", counting)
+    monkeypatch.setattr(indicator, "trace_energies", counting)
     cfgp = write_config(tmp_path, BASE)
     assert main(["sweep", "--config", cfgp, "--out", str(tmp_path / "o")]) == 0
     # the t grid shares each trace: 6 directions x 4 tau, not x 2 t as well
     assert len(calls) == 6 * 4
+
+
+def test_sweep_builds_no_transform(tmp_path, monkeypatch):
+    """The CLI path takes the closed-form trace energies: no VSH transform
+    is built and no trace is analyzed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("transform path called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("enclosure") and hasattr(module, "get_transform"):
+            monkeypatch.setattr(module, "get_transform", refuse)
+    monkeypatch.setattr(indicator, "cgo_trace", refuse)
+    monkeypatch.setattr(vsh.VshTransform, "__init__", refuse)
+    cfgp = write_config(tmp_path, BASE)
+    assert main(["sweep", "--config", cfgp, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_sweep_output_is_a_directory_exit_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "sweep.csv").mkdir(parents=True)
+    cfgp = write_config(tmp_path, BASE)
+    assert main(["sweep", "--config", cfgp, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
+
+
+def test_out_is_an_existing_file_exit_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("x")
+    cfgp = write_config(tmp_path, BASE)
+    assert main(["sweep", "--config", cfgp, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert out.read_text() == "x"
+
+
+def test_cli_import_loads_no_hull_backend():
+    """scipy's optimize and spatial load only when a hull is built."""
+    code = ("import sys, enclosure.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') "
+            "if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(indicator.__file__))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert res.stdout.strip() == "[]"
 
 
 def test_sweep_empty_problem_emits_inf_sentinel(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,9 +9,11 @@ from enclosure.conventions import POL_U, POL_V, TE, TM
 from enclosure.errors import TruncationInsufficient
 from enclosure.forward import (Geometry, Medium, solution_empty, solution_pec,
                                solution_transmission)
-from enclosure.indicator import (IndicatorEngine, SweepConfig, auto_degree,
+from enclosure.indicator import (IndicatorEngine, SweepConfig,
+                                 _legendre_derivatives, auto_degree,
                                  cgo_trace, indicator_value, t_sweep,
-                                 tau_sweep, volume_indicator_pec,
+                                 tau_sweep, trace_energies,
+                                 volume_indicator_pec,
                                  volume_indicator_transmission)
 from enclosure.mathkit import ScaledComplex, get_transform, scaled
 
@@ -52,6 +55,44 @@ def test_trace_truncation_guard():
     probe = build_probe(K, 30.0, 0.0, RHO, CgoMode.IMPENETRABLE)
     with pytest.raises(TruncationInsufficient):
         cgo_trace(probe, 1.0, 30, tail_tol=1e-8)
+
+
+@pytest.mark.parametrize("L", [24, 64, 96])
+@pytest.mark.parametrize("mode", list(CgoMode))
+@pytest.mark.parametrize("tau", [2.0, 10.0, 20.0])
+def test_trace_energies_match_transform(L, mode, tau):
+    """The closed form against the VSH analysis of the sampled trace.
+
+    The analysis runs at max(L, 64): at L = 24 the trace is not band-limited
+    from tau = 10 on, and its top degrees alias."""
+    rng = np.random.default_rng(int(10 * tau) + L)
+    probe = build_probe(K, tau, 0.4, rng.standard_normal(3), mode)
+    closed = trace_energies(probe, 1.0, L)
+    ref = cgo_trace(probe, 1.0, max(L, 64))[0].degree_energies()[:, :L + 1]
+    carried = ref > 1e-12 * ref.sum()
+    assert np.all(closed[:, 0] == 0.0)
+    assert np.max(np.abs(closed - ref)[carried] / ref[carried]) < 1e-8
+
+
+@pytest.mark.parametrize("s", [1.0, 1.5, 801.0, 5001.0])
+def test_legendre_derivatives_against_mpmath(s):
+    """P_l'(s) and P_l''(s) through the rescaled recurrences, up to
+    P_96'(5001) ~ 1e384, against 50-digit values from the Legendre ODE."""
+    d1, d2, ln_shift = _legendre_derivatives(s, 96)
+    with mpmath.workdps(50):
+        x = mpmath.mpf(s)
+        for l in (1, 2, 10, 50, 96):
+            if s == 1.0:   # closed forms at the endpoint
+                p1 = mpmath.mpf(l * (l + 1)) / 2
+                p2 = mpmath.mpf((l - 1) * l * (l + 1) * (l + 2)) / 8
+            else:
+                p, q = mpmath.legendre(l, x), mpmath.legendre(l - 1, x)
+                p1 = l * (x * p - q) / (x * x - 1)
+                p2 = (2 * x * p1 - l * (l + 1) * p) / (1 - x * x)
+            assert abs(math.log(d1[l - 1]) + ln_shift[l - 1] - float(mpmath.log(p1))) < 1e-12
+            if l >= 2:
+                assert abs(math.log(d2[l - 1]) + ln_shift[l - 1]
+                           - float(mpmath.log(p2))) < 1e-12
 
 
 def test_auto_degree_rule():
@@ -276,30 +317,50 @@ def test_empty_problem_sweeps_to_zero():
     assert all(s.ln_abs == -math.inf for s in sweep)
 
 
-def reference_indicator_sum(engine, probe, trace):
+def reference_indicator_sum(engine, probe, energies, ln_scale):
     """The Parseval sum as L per-degree ScaledComplex additions."""
     dlam = engine.op_d.diff_empty
-    energies = trace.degree_energies()
     pref = 1j * probe.k * probe.tau * engine.op_d.r_domain**2
     terms = pref * (np.conj(dlam[TE]) * energies[POL_U]
                     - np.conj(dlam[TM]) * energies[POL_V])
     total = ScaledComplex.zero()
     for term in terms:
         if term != 0.0:
-            total = total + scaled(term, 2.0 * trace.ln_scale)
+            total = total + scaled(term, 2.0 * ln_scale)
     return total
 
 
 @pytest.mark.parametrize("problem", ["pec", "transmission"])
 def test_indicator_value_matches_per_degree_sum(problem):
+    """Both callers of the rescaled sum against the per-degree sum: the
+    engine on closed-form energies, indicator_value on a VSH trace."""
     cfg = SweepConfig(problem=problem, geometry=GEOM, k=K, L=64,
                       medium=Medium(0.5) if problem == "transmission" else None)
     eng = IndicatorEngine(cfg, tau_max=50.0)
     rho = np.array([0.6, 0.0, 0.8])
+    transform = get_transform(eng.L)
+
+    def assert_close(value, ref):
+        diff = value - ref
+        assert diff.is_zero or diff.ln_abs() - ref.ln_abs() < math.log(1e-13)
+
     for tau in (10.0, 20.0, 30.0, 40.0, 50.0):
         for s in eng.t_sweep(rho, tau, [0.3, 0.7]):
             probe = eng.probe(rho, tau, s.t)
-            trace, _ = cgo_trace(probe, GEOM.r_domain, eng.L, eng.transform)
-            ref = reference_indicator_sum(eng, probe, trace)
-            diff = s.value - ref
-            assert diff.is_zero or diff.ln_abs() - ref.ln_abs() < math.log(1e-13)
+            ln_scale = tau * (GEOM.r_domain - s.t)
+            energies = trace_energies(probe, GEOM.r_domain, eng.L)
+            assert_close(s.value, reference_indicator_sum(eng, probe, energies, ln_scale))
+            trace, _ = cgo_trace(probe, GEOM.r_domain, eng.L, transform)
+            assert_close(indicator_value(eng.op_d, eng.op_empty, probe, trace=trace),
+                         reference_indicator_sum(eng, probe, trace.degree_energies(),
+                                                 trace.ln_scale))
+
+
+def test_indicator_direction_independent_at_high_tau():
+    """For the concentric ball the indicator does not depend on rho; at
+    L = 96, tau = 50 the closed-form energies keep that to roundoff."""
+    cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=96)
+    eng = IndicatorEngine(cfg, tau_max=50.0)
+    rng = np.random.default_rng(3)
+    lns = [eng.sample(rng.standard_normal(3), 50.0, 0.5).ln_abs for _ in range(16)]
+    assert max(lns) - min(lns) < 1e-10
