@@ -7,10 +7,10 @@ exponential dichotomy of the indicator functional.
 """
 
 from .cgo import CgoMode, CgoProbe, build_probe, eval_cgo
-from .forward import (Geometry, ImpedanceOperator, Medium, impedance_empty,
-                      impedance_pec, impedance_transmission)
+from .forward import (Geometry, ImpedanceOperator, Medium, solution_empty,
+                      solution_pec, solution_transmission)
 from .indicator import (IndicatorEngine, IndicatorSample, SweepConfig,
-                        indicator_value, t_sweep, tau_sweep)
+                        indicator_value)
 from .recon import (SupportEstimate, classify_regime, estimate_support,
                     reconstruct_hull, synth_translated)
 
@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CgoMode", "CgoProbe", "build_probe", "eval_cgo",
     "Geometry", "Medium", "ImpedanceOperator",
-    "impedance_empty", "impedance_pec", "impedance_transmission",
-    "IndicatorEngine", "IndicatorSample", "SweepConfig",
-    "indicator_value", "tau_sweep", "t_sweep",
+    "solution_empty", "solution_pec", "solution_transmission",
+    "IndicatorEngine", "IndicatorSample", "SweepConfig", "indicator_value",
     "SupportEstimate", "classify_regime", "estimate_support",
     "synth_translated", "reconstruct_hull",
 ]

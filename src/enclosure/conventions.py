@@ -51,12 +51,3 @@ POL_V = 1   # curl-type coefficient (multiplies V_lm)
 TE = 0      # maps f_U -> g_V
 TM = 1      # maps f_V -> g_U
 
-
-def nu_wedge(coeff_u, coeff_v):
-    """Coefficients of nu ^ f given those of the tangential field f."""
-    return -coeff_v, coeff_u
-
-
-def wedge_nu(coeff_u, coeff_v):
-    """Coefficients of f ^ nu (tangential part of W when f = nu ^ W)."""
-    return coeff_v, -coeff_u

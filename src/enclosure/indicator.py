@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgo import CgoMode, CgoProbe, build_probe, eval_cgo_batch
+from .cgo import (CgoMode, CgoProbe, _ball_lq_integrals, build_probe,
+                  eval_cgo_batch)
 from .conventions import POL_U, POL_V, TE, TM
 from .errors import QuadratureUnderResolved, TruncationInsufficient
 from .forward import (FieldSolution, Geometry, ImpedanceOperator, Medium,
@@ -283,63 +284,63 @@ class IndicatorEngine:
         return out
 
 
-def tau_sweep(rho, t, taus, config: SweepConfig) -> list[IndicatorSample]:
-    engine = IndicatorEngine(config, tau_max=float(max(taus)))
-    return engine.tau_sweep(rho, t, taus)
-
-
-def t_sweep(rho, tau, ts, config: SweepConfig) -> list[IndicatorSample]:
-    engine = IndicatorEngine(config, tau_max=float(tau))
-    return engine.t_sweep(rho, tau, ts)
-
-
 # ---------------------------------------------------------------------------
 # volume assemblies (energy-identity cross checks)
 
 
-def _ball_weight_quadrature(probe: CgoProbe, radius: float, q: float,
-                            n_radial: int, ang_degree: int, peel: float) -> float:
-    """integral over the origin-centered ball of exp(q tau (x.rho - t) - q peel)."""
-    from .mathkit import sphere_quadrature
-    grid = sphere_quadrature(ang_degree)
-    rx, rw = np.polynomial.legendre.leggauss(n_radial)
-    rr = 0.5 * radius * (rx + 1.0)
-    rw = 0.5 * radius * rw
-    total = 0.0
-    for r, wr in zip(rr, rw):
-        expo = q * (probe.tau * (r * (grid.nodes @ probe.frame.rho) - probe.t) - peel)
-        total += wr * r * r * float(np.sum(grid.weights * np.exp(expo)))
-    return total
+def _ball_weight(probe: CgoProbe, geometry: Geometry, peel: float) -> float:
+    """integral over the obstacle ball of exp(2 tau (x.rho - t) - 2 peel)."""
+    tr_obs = probe.tau * geometry.r_obstacle
+    ang = max(8, int(math.ceil(1.1 * tr_obs)) + 8)
+    n_radial = max(24, int(math.ceil(0.8 * tr_obs)) + 10)
+    ball_peel, w = _ball_lq_integrals(probe, np.zeros(3), geometry.r_obstacle,
+                                      2.0, n_radial, ang)
+    return w * math.exp(2.0 * (ball_peel - peel))
 
 
-def _annulus_scatter_integral(solution: FieldSolution, geom: Geometry,
-                              probe: CgoProbe, trace: VshCoeffs,
-                              n_radial: int, transform: VshTransform):
-    """integral over the annulus of k^2 (|E - E0|^2 - |H - H0|^2), peeled.
+def _volume_side(probe: CgoProbe, geometry: Geometry, op_d: ImpedanceOperator,
+                 solution: FieldSolution, ball_density: float, shells,
+                 check: bool) -> float:
+    """-tau * (ball_density * ball weight + scattered shell energy).
 
-    Returns the mantissa-scale integral; multiply by exp(2 * trace.ln_scale).
+    Each shell (lo, hi, mu, n_radial) contributes, by radial Gauss-Legendre
+    times the spherical grid in peeled arithmetic,
+        integral of k^2 |E - E0|^2 - (1/mu) |ik (mu H - H0)|^2,
+    where ik (mu H - H0) = curl (E - E0).  With check, the radial rules are
+    doubled and QuadratureUnderResolved is raised unless the shell energy
+    moves by at most 1e-6 relative.
     """
-    k = solution.k
-    amp_te, amp_tm = solution.amplitudes(trace)
+    k = op_d.k
+    transform = get_transform(op_d.L)
     grid = transform.grid
-    rx, rw = np.polynomial.legendre.leggauss(n_radial)
-    lo, hi = geom.r_obstacle, geom.r_domain
-    rr = 0.5 * (hi - lo) * rx + 0.5 * (hi + lo)
-    rw = 0.5 * (hi - lo) * rw
-    peel = trace.ln_scale
+    trace, _ = cgo_trace(probe, geometry.r_domain, op_d.L, transform)
+    peel = trace.ln_scale    # tau (R - t)
+    amp_te, amp_tm = solution.amplitudes(trace)
 
-    total = 0.0
-    for r, wr in zip(rr, rw):
-        e_sol, h_sol = solution.fields_on_shell(amp_te, amp_tm, r, transform)
-        pts = r * grid.nodes
-        # solution mantissas carry exp(trace.ln_scale); peel the CGO the same way
-        e0m, h0m = eval_cgo_batch(probe, pts, peel)
-        de = e_sol - e0m
-        dh = h_sol - h0m
-        dens = (np.einsum("ni,ni->n", de, de.conj()).real
-                - np.einsum("ni,ni->n", dh, dh.conj()).real)
-        total += wr * r * r * float(np.sum(grid.weights * dens))
-    return k * k * total
+    def shell_energy(doubling):
+        total = 0.0
+        for lo, hi, mu, n_radial in shells:
+            rx, rw = np.polynomial.legendre.leggauss(doubling * n_radial)
+            rr = 0.5 * (hi - lo) * rx + 0.5 * (hi + lo)
+            for r, wr in zip(rr, 0.5 * (hi - lo) * rw):
+                e_sol, h_sol = solution.fields_on_shell(amp_te, amp_tm, r, transform)
+                # solution mantissas carry exp(peel); peel the CGO the same way
+                e0m, h0m = eval_cgo_batch(probe, r * grid.nodes, peel)
+                de = e_sol - e0m
+                dcurl = 1j * k * (mu * h_sol - h0m)
+                dens = (k * k * np.einsum("ni,ni->n", de, de.conj()).real
+                        - (1.0 / mu) * np.einsum("ni,ni->n", dcurl, dcurl.conj()).real)
+                total += wr * r * r * float(np.sum(grid.weights * dens))
+        return total
+
+    scat = shell_energy(1)
+    if check:
+        scat2 = shell_energy(2)
+        if abs(scat2 - scat) > 1e-6 * max(abs(scat2), 1e-300):
+            raise QuadratureUnderResolved(f"{solution.problem}: radial rule not converged")
+        scat = scat2
+    wball = _ball_weight(probe, geometry, peel)
+    return -probe.tau * (ball_density * wball + scat) * math.exp(2.0 * peel)
 
 
 def volume_indicator_pec(probe: CgoProbe, geometry: Geometry,
@@ -349,35 +350,18 @@ def volume_indicator_pec(probe: CgoProbe, geometry: Geometry,
     """-tau * (volume side of the PEC energy identity), for comparison with I.
 
     Assembles integral over D of (|curl H0|^2 - k^2 |H0|^2) plus the
-    annulus integral of (|curl H~|^2 - k^2 |H~|^2), H~ = H - H0, by radial
-    Gauss-Legendre times the spherical grid, in peeled arithmetic.
+    annulus integral of k^2 |E~|^2 - |curl E~|^2 = k^2 (|E~|^2 - |H~|^2),
+    E~ = E - E0 and H~ = H - H0 (the shell energy with mu = 1).
     """
     if solution is None:
         solution = solution_pec(op_d.k, geometry, op_d.L)
     k = op_d.k
-    transform = get_transform(op_d.L)
-    trace, _ = cgo_trace(probe, geometry.r_domain, op_d.L, transform)
-    peel = trace.ln_scale    # tau (R - t)
-
-    # obstacle-ball integral: amplitudes are constant, weight is exponential
+    # in D the amplitudes are constant: |curl H0|^2 = k^2 |eta|^2 times the weight
     eta2 = float(np.vdot(probe.eta, probe.eta).real)
     theta2 = float(np.vdot(probe.theta, probe.theta).real)
-    ang = max(8, int(math.ceil(1.1 * probe.tau * geometry.r_obstacle)) + 8)
-    nr_ball = max(24, int(math.ceil(0.8 * probe.tau * geometry.r_obstacle)) + 10)
-    wball = _ball_weight_quadrature(probe, geometry.r_obstacle, 2.0,
-                                    nr_ball, ang, peel)
-    part_d = k * k * (eta2 - theta2) * wball
-
-    part_ann = _annulus_scatter_integral(solution, geometry, probe, trace,
-                                         n_radial, transform)
-    if check:
-        part2 = _annulus_scatter_integral(solution, geometry, probe, trace,
-                                          2 * n_radial, transform)
-        if abs(part2 - part_ann) > 1e-6 * max(abs(part2), 1e-300):
-            raise QuadratureUnderResolved("annulus radial rule not converged")
-        part_ann = part2
-
-    return -probe.tau * (part_d + part_ann) * math.exp(2.0 * peel)
+    shells = [(geometry.r_obstacle, geometry.r_domain, 1.0, n_radial)]
+    return _volume_side(probe, geometry, op_d, solution,
+                        k * k * (eta2 - theta2), shells, check)
 
 
 def volume_indicator_transmission(probe: CgoProbe, geometry: Geometry,
@@ -395,55 +379,17 @@ def volume_indicator_transmission(probe: CgoProbe, geometry: Geometry,
         solution = solution_transmission(op_d.k, geometry, medium, op_d.L)
     k = op_d.k
     mu = medium.mu_inside
-    transform = get_transform(op_d.L)
-    trace, _ = cgo_trace(probe, geometry.r_domain, op_d.L, transform)
-    peel = trace.ln_scale
-    amp_te, amp_tm = solution.amplitudes(trace)
-    grid = transform.grid
-
-    def region_integral(lo, hi, mu_reg, n_r):
-        rx, rw = np.polynomial.legendre.leggauss(n_r)
-        rr = 0.5 * (hi - lo) * rx + 0.5 * (hi + lo)
-        rws = 0.5 * (hi - lo) * rw
-        acc = 0.0
-        for r, wr in zip(rr, rws):
-            e_sol, h_sol = solution.fields_on_shell(amp_te, amp_tm, r, transform)
-            pts = r * grid.nodes
-            e0m, h0m = eval_cgo_batch(probe, pts, peel)
-            de = e_sol - e0m
-            dcurl = 1j * k * (mu_reg * h_sol - h0m)     # curl(E - E0)
-            dens = (k * k * np.einsum("ni,ni->n", de, de.conj()).real
-                    - (1.0 / mu_reg) * np.einsum("ni,ni->n", dcurl, dcurl.conj()).real)
-            acc += wr * r * r * float(np.sum(grid.weights * dens))
-        return acc
-
     # contrast term over D: |curl E0|^2 = k^2 |theta|^2 * weight
     theta2 = float(np.vdot(probe.theta, probe.theta).real)
-    ang = max(8, int(math.ceil(1.1 * probe.tau * geometry.r_obstacle)) + 8)
-    nr_ball = max(24, int(math.ceil(0.8 * probe.tau * geometry.r_obstacle)) + 10)
-    wball = _ball_weight_quadrature(probe, geometry.r_obstacle, 2.0,
-                                    nr_ball, ang, peel)
-    contrast = (1.0 / mu - 1.0) * k * k * theta2 * wball
-
-    nr_inner = max(24, n_radial // 2)
-    scat = (region_integral(1e-9 * geometry.r_obstacle, geometry.r_obstacle,
-                            mu, nr_inner)
-            + region_integral(geometry.r_obstacle, geometry.r_domain,
-                              1.0, n_radial))
-    if check:
-        scat2 = (region_integral(1e-9 * geometry.r_obstacle, geometry.r_obstacle,
-                                 mu, 2 * nr_inner)
-                 + region_integral(geometry.r_obstacle, geometry.r_domain,
-                                   1.0, 2 * n_radial))
-        if abs(scat2 - scat) > 1e-6 * max(abs(scat2), 1e-300):
-            raise QuadratureUnderResolved("transmission radial rule not converged")
-        scat = scat2
-
-    return -probe.tau * (contrast + scat) * math.exp(2.0 * peel)
+    r_obs = geometry.r_obstacle
+    shells = [(1e-9 * r_obs, r_obs, mu, max(24, n_radial // 2)),
+              (r_obs, geometry.r_domain, 1.0, n_radial)]
+    return _volume_side(probe, geometry, op_d, solution,
+                        (1.0 / mu - 1.0) * k * k * theta2, shells, check)
 
 
 __all__ = ["IndicatorSample", "SweepConfig", "IndicatorEngine", "auto_degree",
            "cgo_trace", "trace_energies", "trace_radial_logs",
-           "indicator_value", "tau_sweep", "t_sweep",
+           "indicator_value",
            "volume_indicator_pec", "volume_indicator_transmission",
            "DEFAULT_TAIL_TOL"]

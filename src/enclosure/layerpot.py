@@ -22,8 +22,8 @@ import numpy as np
 from .conventions import POL_U, POL_V
 from .errors import (CoincidentPoints, NearInteriorEigenvalue, PointInside,
                      TooCloseToSurface)
-from .mathkit import (VshCoeffs, riccati_tables, riccati_tables_at,
-                      sphere_quadrature, synth_modes_at_points)
+from .mathkit import (VshCoeffs, riccati_tables, sphere_quadrature,
+                      synth_modes_at_points)
 from .mathkit.vsh import VshTransform, get_transform
 
 # test hook: flips the sign of the M_k symbols (selftest mutation check)
@@ -72,7 +72,7 @@ def _scalar_layer_factors(k: float, R: float, lmax: int, radii: np.ndarray):
     psi_b, _, chi_b, _ = riccati_tables(lmax, b)
     jb = psi_b / b
     hb = (psi_b + 1j * chi_b) / b
-    psi_r, _, chi_r, _ = riccati_tables_at(lmax, k * radii)
+    psi_r, _, chi_r, _ = riccati_tables(lmax, k * radii)
     jr = psi_r / (k * radii)
     hr = (psi_r + 1j * chi_r) / (k * radii)
     inside = radii <= R
@@ -234,7 +234,7 @@ def _eval_curl_s_fields(k: float, f: SurfaceDensity, points, side: str):
     radii = np.linalg.norm(pts, axis=1)
     R, L = f.radius, f.L
     z = k * radii
-    psi_r, dpsi_r, chi_r, dchi_r = riccati_tables_at(L, z)
+    psi_r, dpsi_r, chi_r, dchi_r = riccati_tables(L, z)
     if side == "exterior":
         zf, dzf = psi_r + 1j * chi_r, dpsi_r + 1j * dchi_r   # outgoing xi(kr)
         amp_m, amp_n = _field_amplitudes(k, R, L)

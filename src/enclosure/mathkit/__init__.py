@@ -1,20 +1,19 @@
-"""Numerical substrate: frames, scaled arithmetic, Bessel tables, sphere
-quadrature, VSH transforms, and halfspace hulls."""
+"""Numerical substrate: frames, scaled arithmetic, Bessel and Riccati-Bessel
+tables, sphere quadrature, VSH transforms and scattered-point synthesis (both
+built on one set of associated-Legendre tables), and halfspace hulls."""
 
-from .bessel import riccati_tables, riccati_tables_at, sph_bessel
+from .bessel import riccati_tables, sph_bessel
 from .frames import Frame, build_frame
 from .hull import HullMesh, halfspace_hull
 from .scaled import ScaledComplex, ScaledVector, scaled, scaled_from_ln
 from .spheregrid import SphereGrid, sphere_quadrature
-from .vsh import (VshCoeffs, VshTransform, get_transform,
-                  synth_modes_at_points, vsh_analyze, vsh_synthesize)
+from .vsh import VshCoeffs, VshTransform, get_transform, synth_modes_at_points
 
 __all__ = [
     "Frame", "build_frame",
     "ScaledComplex", "ScaledVector", "scaled", "scaled_from_ln",
-    "sph_bessel", "riccati_tables", "riccati_tables_at",
+    "sph_bessel", "riccati_tables",
     "SphereGrid", "sphere_quadrature",
-    "VshCoeffs", "VshTransform", "get_transform",
-    "vsh_analyze", "vsh_synthesize", "synth_modes_at_points",
+    "VshCoeffs", "VshTransform", "get_transform", "synth_modes_at_points",
     "HullMesh", "halfspace_hull",
 ]

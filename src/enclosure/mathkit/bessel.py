@@ -107,38 +107,18 @@ def sph_bessel(kind: str, l: int, z):
 
 
 def riccati_tables(lmax: int, z):
-    """Riccati-Bessel tables at a single argument z.
+    """Riccati-Bessel tables at z, a scalar or an array of arguments.
 
-    Returns (psi, dpsi, chi, dchi), each of shape (lmax+1,), where
-    psi_l = z j_l, chi_l = z y_l and primes are d/dz.  xi = psi + 1j*chi.
+    Returns (psi, dpsi, chi, dchi), each of shape (lmax+1,) + shape(z),
+    where psi_l = z j_l, chi_l = z y_l and primes are d/dz.  xi = psi + 1j*chi.
     """
     jt = spherical_jn_table(lmax, z)
     yt = spherical_yn_table(lmax, z)
-    ell = np.arange(lmax + 1)
-    psi = z * jt
-    chi = z * yt
-    # psi'_l = z j_{l-1} - l j_l, with j_{-1} = cos z / z; same shape for chi
-    dpsi = np.empty_like(psi)
-    dchi = np.empty_like(chi)
-    dpsi[0] = np.cos(z)
-    dchi[0] = np.sin(z)
-    if lmax >= 1:
-        dpsi[1:] = z * jt[:-1] - ell[1:] * jt[1:]
-        dchi[1:] = z * yt[:-1] - ell[1:] * yt[1:]
-    return psi, dpsi, chi, dchi
-
-
-def riccati_tables_at(lmax: int, z):
-    """Vectorized riccati_tables over an array of arguments.
-
-    Returns arrays of shape (lmax+1,) + shape(z).
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    jt = spherical_jn_table(lmax, z)
-    yt = spherical_yn_table(lmax, z)
+    z = np.asarray(z)
     ell = np.arange(lmax + 1).reshape((-1,) + (1,) * z.ndim)
     psi = z * jt
     chi = z * yt
+    # psi'_l = z j_{l-1} - l j_l, with j_{-1} = cos z / z; same shape for chi
     dpsi = np.empty_like(psi)
     dchi = np.empty_like(chi)
     dpsi[0] = np.cos(z)

@@ -114,6 +114,13 @@ def _alp_tables(L: int, ct: np.ndarray, st: np.ndarray):
     return P, DS
 
 
+def _inv_sqrt_ll(L: int) -> np.ndarray:
+    """1 / sqrt(l (l+1)) for l = 0..L, 0 at l = 0 (no tangential l = 0 mode)."""
+    ll = np.arange(L + 1, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(ll > 0, 1.0 / np.sqrt(ll * (ll + 1.0)), 0.0)
+
+
 def _norm(a: np.ndarray) -> float:
     """Euclidean norm of a contiguous complex array, summed by einsum.
 
@@ -155,9 +162,7 @@ class VshTransform:
         self.P, self.DS = _alp_tables(L, grid.cos_theta, st)
         self.D3 = self.DS[:, :L + 1].transpose(1, 0, 2)
         self.S3 = self.DS[:, L + 1:].transpose(1, 0, 2)
-        ll = np.arange(L + 1, dtype=float)
-        with np.errstate(divide="ignore"):
-            self.inv_sqrt_ll = np.where(ll > 0, 1.0 / np.sqrt(ll * (ll + 1.0)), 0.0)
+        self.inv_sqrt_ll = _inv_sqrt_ll(L)
         # Condon-Shortley factor (-1)^m of order -m against order +m
         self.neg_sign = np.where(np.arange(L + 1) % 2, -1.0, 1.0)
 
@@ -294,97 +299,52 @@ def get_transform(L: int) -> VshTransform:
     return VshTransform(sphere_quadrature(L))
 
 
-def vsh_analyze(samples: np.ndarray, grid: SphereGrid, tangent_tol: float = 1e-10) -> VshCoeffs:
-    """Module-level analysis entry point (transform cached per degree)."""
-    tr = get_transform(grid.max_degree)
-    if tr.grid.n_nodes != grid.n_nodes:
-        tr = VshTransform(grid)
-    return tr.analyze(samples, tangent_tol=tangent_tol)
-
-
-def vsh_synthesize(coeffs: VshCoeffs, grid: SphereGrid) -> np.ndarray:
-    tr = get_transform(grid.max_degree)
-    if tr.grid.n_nodes != grid.n_nodes:
-        tr = VshTransform(grid)
-    return tr.synthesize(coeffs)
-
-
 def synth_modes_at_points(points_unit: np.ndarray, L: int,
                           cP=None, cU=None, cV=None,
                           rfP=None, rfU=None, rfV=None) -> np.ndarray:
     """Evaluate sum_lm of radial-factored VSH modes at scattered points.
 
     points_unit: (N, 3) unit vectors.  cX: coefficient arrays (L+1, 2L+1)
-    for the P/U/V patterns; rfX: matching radial factors (L+1, N) (for a
-    pure angular evaluation pass ones).  Memory O(L N); intended for modest
-    N -- shell-structured evaluations should go through VshTransform.
+    for the P/U/V patterns; rfX: matching radial factors (L+1, N) or
+    (L+1, 1), None for a pure angular evaluation.  The modes come from the
+    `_alp_tables` of the points, so memory is O(L^2 N); shell-structured
+    evaluations should go through VshTransform.
     """
     pts = np.asarray(points_unit, dtype=float)
-    n = len(pts)
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    st = np.hypot(x, y)
-    ct = z
-    if np.any(st < 1e-13):
-        st = np.maximum(st, 1e-13)   # polar nudge; basis is coordinate-singular there
+    x, y, z = pts.T
+    st = np.maximum(np.hypot(x, y), 1e-13)   # polar nudge; basis is coordinate-singular there
     phi = np.arctan2(y, x)
-    cot = ct / st
+    P, DS = _alp_tables(L, z, st)
+    DS = DS.reshape(L + 1, 2, L + 1, len(pts))          # [m, D|S, l, node]
+    inv = _inv_sqrt_ll(L)[:, None]
+    eim = np.exp(1j * np.outer(np.arange(L + 1), phi))   # e^{i m phi}, m >= 0
+    # Condon-Shortley factor (-1)^m of order -m; zero at m = 0, counted once
+    neg = np.where(np.arange(L + 1) % 2, -1.0, 1.0)
+    neg[0] = 0.0
 
-    r_hat = pts
-    theta_hat = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=1)
-    phi_hat = np.stack([-np.sin(phi), np.cos(phi), np.zeros(n)], axis=1)
+    def orders(table, c, rf, spec):
+        """Per-order sums over l at +m and at -m, [sign, m, ...]."""
+        cc = np.stack([c[:, L:].T, c[:, L::-1].T])      # [sign, m, l]
+        rf = np.ones((L + 1, 1)) if rf is None else rf
+        return np.einsum(spec, cc, rf, table)
 
-    eip = np.exp(1j * phi)
-    phases = np.empty((L + 1, n), dtype=complex)   # e^{i m phi}, m >= 0
-    phases[0] = 1.0
-    for m in range(1, L + 1):
-        phases[m] = phases[m - 1] * eip
+    def even(a):   # sum over orders of a_+m e^{imphi} + (-1)^m a_-m e^{-imphi}
+        return np.sum(a[0] * eim + neg[:, None] * a[1] * eim.conj(), axis=0)
 
-    # diagonal ALP seeds
-    diag = np.empty((L + 1, n))
-    diag[0] = _INV_SQRT4PI
-    for m in range(1, L + 1):
-        diag[m] = -math.sqrt((2 * m + 1.0) / (2 * m)) * st * diag[m - 1]
+    def odd(a):    # the same with the -m orders negated
+        return np.sum(a[0] * eim - neg[:, None] * a[1] * eim.conj(), axis=0)
 
-    fr = np.zeros(n, dtype=complex)
-    fth = np.zeros(n, dtype=complex)
-    fph = np.zeros(n, dtype=complex)
-
-    Pm2 = np.zeros((L + 2, n))   # row l-2, padded one order in m
-    Pm1 = np.zeros((L + 2, n))   # row l-1
-    for l in range(0, L + 1):
-        Prow = np.zeros((L + 2, n))
-        Prow[l] = diag[l]
-        if l >= 1:
-            Prow[l - 1] = math.sqrt(2.0 * l + 1.0) * ct * diag[l - 1]
-        for m in range(0, l - 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m))
-                          / ((2.0 * l - 3.0) * (l * l - m * m)))
-            Prow[m] = a * ct * Pm1[m] - b * Pm2[m]
-
-        if l >= 1 or cP is not None:
-            inv = 1.0 / math.sqrt(l * (l + 1.0)) if l >= 1 else 0.0
-            for m in range(0, l + 1):
-                D = m * cot * Prow[m]
-                if m + 1 <= l:
-                    D = D + math.sqrt((l - m) * (l + m + 1.0)) * Prow[m + 1]
-                S = m * Prow[m] / st if m else np.zeros(n)
-                for mm in (m, -m) if m else (0,):
-                    sgn = -1.0 if (mm < 0 and m % 2) else 1.0
-                    ssgn = sgn if mm >= 0 else -sgn
-                    ph = phases[m] if mm >= 0 else np.conj(phases[m])
-                    if cP is not None and cP[l, mm + L] != 0.0:
-                        fr += cP[l, mm + L] * (rfP[l] if rfP is not None else 1.0) \
-                            * sgn * Prow[m] * ph
-                    if l >= 1 and cU is not None and cU[l, mm + L] != 0.0:
-                        w = cU[l, mm + L] * (rfU[l] if rfU is not None else 1.0) * inv * ph
-                        fth += w * sgn * D
-                        fph += w * 1j * ssgn * S
-                    if l >= 1 and cV is not None and cV[l, mm + L] != 0.0:
-                        w = cV[l, mm + L] * (rfV[l] if rfV is not None else 1.0) * inv * ph
-                        fth += w * (-1j) * ssgn * S
-                        fph += w * sgn * D
-        Pm2, Pm1 = Pm1, Prow
-
-    return (fr[:, None] * r_hat + fth[:, None] * theta_hat
-            + fph[:, None] * phi_hat)
+    fr = fth = fph = np.zeros(len(pts), dtype=complex)
+    if cP is not None:
+        fr = even(orders(P, cP, rfP, "sml,ln,mln->smn"))
+    if cU is not None:
+        a = orders(DS, cU * inv, rfU, "sml,ln,mjln->jsmn")
+        fth = fth + even(a[0])
+        fph = fph + 1j * odd(a[1])
+    if cV is not None:
+        a = orders(DS, cV * inv, rfV, "sml,ln,mjln->jsmn")
+        fth = fth - 1j * odd(a[1])
+        fph = fph + even(a[0])
+    theta_hat = np.stack([z * np.cos(phi), z * np.sin(phi), -st], axis=1)
+    phi_hat = np.stack([-np.sin(phi), np.cos(phi), np.zeros(len(pts))], axis=1)
+    return fr[:, None] * pts + fth[:, None] * theta_hat + fph[:, None] * phi_hat

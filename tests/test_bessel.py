@@ -6,7 +6,7 @@ import pytest
 import scipy.special as sps
 
 from enclosure.errors import PoleAtZero
-from enclosure.mathkit import riccati_tables, riccati_tables_at, sph_bessel
+from enclosure.mathkit import riccati_tables, sph_bessel
 from enclosure.mathkit.bessel import (riccati_j_logs, spherical_jn_table,
                                       spherical_yn_table)
 
@@ -111,12 +111,12 @@ def test_riccati_derivative_by_finite_differences():
 
 
 def test_vectorized_tables_match_scalar():
-    zs = np.array([0.5, 2.0, 11.0])
-    psi_v, dpsi_v, chi_v, dchi_v = riccati_tables_at(15, zs)
-    for i, z in enumerate(zs):
-        psi, dpsi, chi, dchi = riccati_tables(15, float(z))
-        assert np.allclose(psi_v[:, i], psi, rtol=1e-13)
-        assert np.allclose(dchi_v[:, i], dchi, rtol=1e-13)
+    zs = np.array([[0.5, 2.0, 11.0], [0.7, 3.3, 25.0]])
+    tables = riccati_tables(15, zs)
+    assert all(t.shape == (16, 2, 3) for t in tables)
+    for idx in np.ndindex(zs.shape):
+        for vec, ref in zip(tables, riccati_tables(15, float(zs[idx]))):
+            assert np.allclose(vec[(slice(None),) + idx], ref, rtol=1e-13)
 
 
 def test_invalid_kind_and_order():

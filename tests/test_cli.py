@@ -333,6 +333,21 @@ def test_sweep_radial_overflow_exit_3(tmp_path, capsys, label, doc):
     assert not (tmp_path / "ovf" / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("label,doc", OVERFLOW_CONFIGS,
+                         ids=[c[0] for c in OVERFLOW_CONFIGS])
+def test_radial_overflow_stderr_is_one_line(tmp_path, label, doc):
+    """In a fresh interpreter with the default warning filters, the exit-3
+    run writes its guard line and no floating-point warning before it."""
+    src = os.path.dirname(os.path.dirname(indicator.__file__))
+    res = subprocess.run([sys.executable, "-m", "enclosure.cli", "sweep",
+                          "--config", write_config(tmp_path, doc),
+                          "--out", str(tmp_path / "ovf")],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert res.returncode == 3
+    assert res.stderr.startswith("solver guard: ") and res.stderr.count("\n") == 1
+
+
 def test_reconstruct_guard_exit_3(tmp_path):
     # tau grid too narrow for a trustworthy fit -> solver-guard exit
     doc = dict(RECON)

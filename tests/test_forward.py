@@ -8,9 +8,8 @@ from enclosure.conventions import POL_U, POL_V, TE, TM
 from enclosure.errors import (DegreeMismatch, InvalidMedium, NearEigenvalue,
                               PointOutOfDomain)
 from enclosure.forward import (Geometry, Medium, apply_impedance,
-                               impedance_empty, impedance_pec,
-                               impedance_transmission, solution_empty,
-                               solution_pec, solution_transmission)
+                               solution_empty, solution_pec,
+                               solution_transmission)
 from enclosure.mathkit import VshCoeffs, get_transform
 
 K = 1.0
@@ -94,7 +93,7 @@ def ode_lambda_transmission(l, k, geom, medium):
 
 @pytest.mark.parametrize("l", [1, 2])
 def test_empty_entries_match_ode_oracle(l):
-    op = impedance_empty(K, GEOM.r_domain, 5)
+    op = solution_empty(K, GEOM.r_domain, 5).operator
     te, tm = ode_lambda_empty(l, K, GEOM.r_domain)
     assert abs(op.lam[TE, l] - te) < 1e-8 * abs(te)
     assert abs(op.lam[TM, l] - tm) < 1e-8 * abs(tm)
@@ -102,7 +101,7 @@ def test_empty_entries_match_ode_oracle(l):
 
 @pytest.mark.parametrize("l", [1, 2])
 def test_pec_entries_match_ode_oracle(l):
-    op = impedance_pec(K, GEOM, 5)
+    op = solution_pec(K, GEOM, 5).operator
     te, tm = ode_lambda_pec(l, K, GEOM)
     assert abs(op.lam[TE, l] - te) < 1e-8 * abs(te)
     assert abs(op.lam[TM, l] - tm) < 1e-8 * abs(tm)
@@ -111,7 +110,7 @@ def test_pec_entries_match_ode_oracle(l):
 @pytest.mark.parametrize("mu_c", [0.5, -0.5])
 def test_transmission_entries_match_ode_oracle(mu_c):
     med = Medium(mu_c)
-    op = impedance_transmission(K, GEOM, med, 5)
+    op = solution_transmission(K, GEOM, med, 5).operator
     te, tm = ode_lambda_transmission(1, K, GEOM, med)
     assert abs(op.lam[TE, 1] - te) < 1e-8 * abs(te)
     assert abs(op.lam[TM, 1] - tm) < 1e-8 * abs(tm)
@@ -122,16 +121,16 @@ def test_transmission_entries_match_ode_oracle(mu_c):
 
 
 def test_pec_small_obstacle_limit():
-    op_small = impedance_pec(K, Geometry(1e-3, 1.0), 5)
-    op_empty = impedance_empty(K, 1.0, 5)
+    op_small = solution_pec(K, Geometry(1e-3, 1.0), 5).operator
+    op_empty = solution_empty(K, 1.0, 5).operator
     rel = np.abs(op_small.lam[:, 1:6] - op_empty.lam[:, 1:6]) \
         / np.abs(op_empty.lam[:, 1:6])
     assert np.max(rel) < 1e-6
 
 
 def test_transmission_no_contrast_is_empty():
-    op = impedance_transmission(K, GEOM, Medium(0.0), 8)
-    ref = impedance_empty(K, 1.0, 8)
+    op = solution_transmission(K, GEOM, Medium(0.0), 8).operator
+    ref = solution_empty(K, 1.0, 8).operator
     assert np.max(np.abs(op.lam[:, 1:] - ref.lam[:, 1:])) < 1e-12
     assert np.max(np.abs(op.diff_empty)) == 0.0
 
@@ -139,7 +138,7 @@ def test_transmission_no_contrast_is_empty():
 def test_operator_difference_geometric_envelope():
     """|lam_D - lam_empty| decays like (R_D/R)^(2l+1) up to bounded factors."""
     L = 20
-    op = impedance_pec(K, GEOM, L)
+    op = solution_pec(K, GEOM, L).operator
     q = (GEOM.r_obstacle / GEOM.r_domain) ** 2
     for pol in (TE, TM):
         mags = np.abs(op.diff_empty[pol, 1:L + 1])
@@ -149,8 +148,8 @@ def test_operator_difference_geometric_envelope():
 
 
 def test_diff_empty_matches_subtraction_at_low_l():
-    op = impedance_pec(K, GEOM, 12)
-    ref = impedance_empty(K, 1.0, 12)
+    op = solution_pec(K, GEOM, 12).operator
+    ref = solution_empty(K, 1.0, 12).operator
     direct = op.lam - ref.lam
     rel = np.abs(op.diff_empty[:, 1:7] - direct[:, 1:7]) / np.abs(direct[:, 1:7])
     assert np.max(rel) < 1e-9
@@ -158,8 +157,8 @@ def test_diff_empty_matches_subtraction_at_low_l():
 
 def test_transmission_continuous_in_contrast():
     eps = 1e-6
-    a = impedance_transmission(K, GEOM, Medium(eps), 6).lam
-    b = impedance_transmission(K, GEOM, Medium(-eps), 6).lam
+    a = solution_transmission(K, GEOM, Medium(eps), 6).operator.lam
+    b = solution_transmission(K, GEOM, Medium(-eps), 6).operator.lam
     fd = np.abs(a[:, 1:] - b[:, 1:]) / (2 * eps)
     assert np.all(np.isfinite(fd))
     assert np.max(fd) < 10.0          # bounded derivative near zero contrast
@@ -169,14 +168,14 @@ def test_near_eigenvalue_guard():
     # first zero of psi_1: k R at the TE l=1 interior Maxwell eigenvalue
     k_eig = 4.493409457909064
     with pytest.raises(NearEigenvalue):
-        impedance_empty(k_eig, 1.0, 4)
+        solution_empty(k_eig, 1.0, 4)
 
 
 def test_invalid_medium():
     with pytest.raises(InvalidMedium):
-        impedance_transmission(K, GEOM, Medium(1.0), 4)
+        solution_transmission(K, GEOM, Medium(1.0), 4)
     with pytest.raises(InvalidMedium):
-        impedance_transmission(K, GEOM, Medium(1.5), 4)
+        solution_transmission(K, GEOM, Medium(1.5), 4)
 
 
 def test_geometry_validation():
@@ -192,7 +191,7 @@ def test_geometry_validation():
 
 def test_apply_zero_and_single_mode():
     L = 6
-    op = impedance_pec(K, GEOM, L)
+    op = solution_pec(K, GEOM, L).operator
     z = VshCoeffs.zeros(L)
     assert np.all(apply_impedance(op, z).data == 0)
     f = VshCoeffs.single_mode(L, 3, 2, POL_U, 1.0 + 2.0j)
@@ -204,7 +203,7 @@ def test_apply_zero_and_single_mode():
 
 def test_apply_linearity():
     L = 8
-    op = impedance_transmission(K, GEOM, Medium(0.5), L)
+    op = solution_transmission(K, GEOM, Medium(0.5), L).operator
     rng = np.random.default_rng(9)
     f1, f2 = VshCoeffs.zeros(L), VshCoeffs.zeros(L)
     f1.data[:] = rng.standard_normal(f1.data.shape) + 1j * rng.standard_normal(f1.data.shape)
@@ -218,7 +217,7 @@ def test_apply_linearity():
 
 def test_apply_m_independence():
     L = 6
-    op = impedance_pec(K, GEOM, L)
+    op = solution_pec(K, GEOM, L).operator
     outs = []
     for m in (-4, 0, 3):
         f = VshCoeffs.single_mode(L, 4, m, POL_V)
@@ -227,14 +226,14 @@ def test_apply_m_independence():
 
 
 def test_apply_degree_mismatch():
-    op = impedance_empty(K, 1.0, 4)
+    op = solution_empty(K, 1.0, 4).operator
     with pytest.raises(DegreeMismatch):
         apply_impedance(op, VshCoeffs.zeros(6))
 
 
 def test_truncation_stability_of_entries():
-    a = impedance_pec(K, GEOM, 20)
-    b = impedance_pec(K, GEOM, 28)
+    a = solution_pec(K, GEOM, 20).operator
+    b = solution_pec(K, GEOM, 28).operator
     assert np.max(np.abs(a.lam[:, 1:21] - b.lam[:, 1:21])) < 1e-12
 
 
@@ -352,8 +351,8 @@ def test_reciprocity_of_difference_pairing():
     L = 8
     tr = get_transform(L)
     grid = tr.grid
-    for op in (impedance_pec(K, GEOM, L),
-               impedance_transmission(K, GEOM, Medium(0.5), L)):
+    for op in (solution_pec(K, GEOM, L).operator,
+               solution_transmission(K, GEOM, Medium(0.5), L).operator):
         rng = np.random.default_rng(21)
         fs = []
         for _ in range(2):

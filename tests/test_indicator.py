@@ -11,8 +11,7 @@ from enclosure.forward import (Geometry, Medium, solution_empty, solution_pec,
                                solution_transmission)
 from enclosure.indicator import (IndicatorEngine, SweepConfig,
                                  _legendre_derivatives, auto_degree,
-                                 cgo_trace, indicator_value, t_sweep,
-                                 tau_sweep, trace_energies,
+                                 cgo_trace, indicator_value, trace_energies,
                                  volume_indicator_pec,
                                  volume_indicator_transmission)
 from enclosure.mathkit import ScaledComplex, get_transform, scaled
@@ -274,7 +273,8 @@ def test_indicator_truncation_invariance():
 
 def test_t_sweep_is_affine_in_t():
     cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=40)
-    samples = t_sweep(RHO, 12.0, [0.0, 0.25, 0.5, 0.75, 1.0], cfg)
+    eng = IndicatorEngine(cfg, tau_max=12.0)
+    samples = eng.t_sweep(RHO, 12.0, [0.0, 0.25, 0.5, 0.75, 1.0])
     lns = np.array([s.ln_abs for s in samples])
     slopes = np.diff(lns) / 0.25
     assert np.max(np.abs(slopes + 2.0 * 12.0)) < 1e-9
@@ -283,8 +283,9 @@ def test_t_sweep_is_affine_in_t():
 def test_tau_sweep_dichotomy_signs():
     cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=56)
     taus = [10.0, 14.0, 18.0, 22.0, 26.0]
-    above = tau_sweep(RHO, 0.7, taus, cfg)
-    below = tau_sweep(RHO, 0.3, taus, cfg)
+    eng = IndicatorEngine(cfg, tau_max=max(taus))
+    above = eng.tau_sweep(RHO, 0.7, taus)
+    below = eng.tau_sweep(RHO, 0.3, taus)
     d_above = np.diff([s.ln_abs for s in above])
     d_below = np.diff([s.ln_abs for s in below])
     assert np.all(d_above < 0)          # decay above the support level
@@ -294,8 +295,9 @@ def test_tau_sweep_dichotomy_signs():
 def test_slope_sign_stability_near_support():
     cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=56)
     taus = np.linspace(10.0, 30.0, 9)
+    eng = IndicatorEngine(cfg, tau_max=float(max(taus)))
     for t, sign in ((0.6, -1.0), (0.4, +1.0)):
-        sweep = tau_sweep(RHO, t, list(taus), cfg)
+        sweep = eng.tau_sweep(RHO, t, list(taus))
         lns = np.array([s.ln_abs for s in sweep])
         slopes = np.diff(lns) / np.diff(taus)
         assert np.all(np.sign(slopes) == sign), (t, slopes)
@@ -312,7 +314,7 @@ def test_engine_trust_diagnostics():
 
 def test_empty_problem_sweeps_to_zero():
     cfg = SweepConfig(problem="empty", geometry=GEOM, k=K, L=24)
-    sweep = tau_sweep(RHO, 0.5, [5.0, 6.0], cfg)
+    sweep = IndicatorEngine(cfg, tau_max=6.0).tau_sweep(RHO, 0.5, [5.0, 6.0])
     assert all(s.value.is_zero for s in sweep)
     assert all(s.ln_abs == -math.inf for s in sweep)
 

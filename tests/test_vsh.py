@@ -5,8 +5,7 @@ from scipy.special import sph_harm_y
 from enclosure.conventions import POL_U, POL_V
 from enclosure.errors import NotTangential
 from enclosure.mathkit import (VshCoeffs, get_transform, sphere_quadrature,
-                               synth_modes_at_points, vsh_analyze,
-                               vsh_synthesize)
+                               synth_modes_at_points)
 
 
 def random_coeffs(L, seed=0):
@@ -96,10 +95,10 @@ def test_transform_tables_hold_three_cubes(L):
 
 def test_single_mode_roundtrip():
     L = 6
-    grid = sphere_quadrature(L)
+    tr = get_transform(L)
     c = VshCoeffs.single_mode(L, 4, -2, POL_V, 2.0 - 1.0j)
-    f = vsh_synthesize(c, grid)
-    back = vsh_analyze(f, grid)
+    f = tr.synthesize(c)
+    back = tr.analyze(f)
     assert abs(back.data[POL_V, 4, -2 + L] - (2.0 - 1.0j)) < 1e-12
     back.data[POL_V, 4, -2 + L] = 0.0
     assert np.max(np.abs(back.data)) < 1e-12
@@ -107,36 +106,37 @@ def test_single_mode_roundtrip():
 
 def test_bandlimited_roundtrip():
     L = 10
-    grid = sphere_quadrature(L)
+    tr = get_transform(L)
     c = random_coeffs(L)
-    f = vsh_synthesize(c, grid)
-    back = vsh_analyze(f, grid)
-    num = np.linalg.norm(vsh_synthesize(back, grid) - f)
+    f = tr.synthesize(c)
+    back = tr.analyze(f)
+    num = np.linalg.norm(tr.synthesize(back) - f)
     assert num / np.linalg.norm(f) < 1e-10
     assert np.max(np.abs(back.data - c.data)) < 1e-10
 
 
 def test_zero_field():
     L = 5
-    grid = sphere_quadrature(L)
-    c = vsh_analyze(np.zeros((grid.n_nodes, 3), dtype=complex), grid)
+    tr = get_transform(L)
+    c = tr.analyze(np.zeros((tr.grid.n_nodes, 3), dtype=complex))
     assert np.all(c.data == 0)
     assert c.tail_fraction() == 0.0
 
 
 def test_not_tangential_raises():
     L = 5
-    grid = sphere_quadrature(L)
-    f = grid.nodes.astype(complex)       # purely radial field
+    tr = get_transform(L)
+    f = tr.grid.nodes.astype(complex)    # purely radial field
     with pytest.raises(NotTangential):
-        vsh_analyze(f, grid)
+        tr.analyze(f)
 
 
 def test_parseval_against_quadrature():
     L = 9
-    grid = sphere_quadrature(L)
+    tr = get_transform(L)
+    grid = tr.grid
     c = random_coeffs(L, seed=3)
-    f = vsh_synthesize(c, grid)
+    f = tr.synthesize(c)
     quad = float(np.sum(grid.weights * np.einsum("ni,ni->n", f, f.conj()).real))
     assert abs(quad - c.total_energy()) < 1e-10 * c.total_energy()
 
@@ -173,6 +173,23 @@ def test_scattered_point_synthesis_matches_grid():
     f_pts = synth_modes_at_points(tr.grid.nodes, L,
                                   cU=c.data[POL_U], cV=c.data[POL_V])
     assert np.max(np.abs(f_grid - f_pts)) < 1e-12 * np.max(np.abs(f_grid))
+
+    # the radial (P) pattern and per-degree radial factors, one column per
+    # degree or one per point
+    rng = np.random.default_rng(6)
+    cP = rng.standard_normal((L + 1, 2 * L + 1)) + 1j * rng.standard_normal((L + 1, 2 * L + 1))
+    fP, fU, fV = rng.standard_normal((3, L + 1)) + 1j * rng.standard_normal((3, L + 1))
+    ref = tr.synth_vector(cP * fP[:, None],
+                          VshCoeffs(L, np.stack([c.data[POL_U] * fU[:, None],
+                                                 c.data[POL_V] * fV[:, None]])))
+    n = tr.grid.n_nodes
+    for shape in (1, n):
+        f_pts = synth_modes_at_points(
+            tr.grid.nodes, L, cP=cP, cU=c.data[POL_U], cV=c.data[POL_V],
+            rfP=np.repeat(fP[:, None], shape, axis=1),
+            rfU=np.repeat(fU[:, None], shape, axis=1),
+            rfV=np.repeat(fV[:, None], shape, axis=1))
+        assert np.max(np.abs(ref - f_pts)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_scalar_transform_roundtrip():
