@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureUnderResolved
-from .mathkit import Frame, ScaledVector, build_frame, scaled, sphere_quadrature
+from .mathkit import (Frame, ScaledVector, build_frame, cross3, scaled,
+                      sphere_quadrature)
 
 
 class CgoMode(enum.Enum):
@@ -74,8 +75,8 @@ def build_probe(k: float, tau: float, t: float, rho, mode: CgoMode) -> CgoProbe:
         b = np.conj(zeta) / zabs
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    eta = (-(zeta @ a) * zeta - k * np.cross(zeta, b) + k**2 * a) / zabs
-    theta = (k * np.cross(zeta, a) - (zeta @ b) * zeta + k**2 * b) / zabs
+    eta = (-(zeta @ a) * zeta - k * cross3(zeta, b) + k**2 * a) / zabs
+    theta = (k * cross3(zeta, a) - (zeta @ b) * zeta + k**2 * b) / zabs
     return CgoProbe(k=float(k), tau=float(tau), t=float(t), frame=frame,
                     mode=mode, zeta=zeta, a=np.asarray(a, dtype=float),
                     b=np.asarray(b, dtype=complex), eta=eta, theta=theta)

@@ -238,13 +238,17 @@ def _lam_from_xi(xi_a, dxi_a):
 
 
 def _guard_eigenvalues(label, guard, scale_te, xi_te_a, scale_tm, dxi_tm_a, L):
+    """Raise RadialOverflow on a non-finite radial determinant (a NaN fails
+    every comparison) and NearEigenvalue on one below guard * scale."""
     ell = np.arange(1, L + 1)
-    bad_te = ell[np.abs(xi_te_a[1:]) < guard * scale_te[1:]]
-    if bad_te.size:
-        raise NearEigenvalue(f"{label}: TE radial determinant ~ 0 at l = {bad_te[0]}")
-    bad_tm = ell[np.abs(dxi_tm_a[1:]) < guard * scale_tm[1:]]
-    if bad_tm.size:
-        raise NearEigenvalue(f"{label}: TM radial determinant ~ 0 at l = {bad_tm[0]}")
+    for pol, det, scale in (("TE", xi_te_a, scale_te), ("TM", dxi_tm_a, scale_tm)):
+        bad = ell[~np.isfinite(det[1:])]
+        if bad.size:
+            raise RadialOverflow(f"{label}: {pol} radial determinant not finite "
+                                 f"at l = {bad[0]}; lower the truncation degree")
+        bad = ell[np.abs(det[1:]) < guard * scale[1:]]
+        if bad.size:
+            raise NearEigenvalue(f"{label}: {pol} radial determinant ~ 0 at l = {bad[0]}")
 
 
 def _outer_maps(label, guard, L, alpha, beta, psi_a, dpsi_a, chi_a, dchi_a):

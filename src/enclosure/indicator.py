@@ -15,6 +15,7 @@ assemblies live here as independent computation paths.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .conventions import POL_U, POL_V, TE, TM
 from .errors import QuadratureUnderResolved, TruncationInsufficient
 from .forward import (FieldSolution, Geometry, ImpedanceOperator, Medium,
                       solution_empty, solution_pec, solution_transmission)
-from .mathkit import ScaledComplex, VshCoeffs, scaled
+from .mathkit import ScaledComplex, VshCoeffs, cross3, scaled
 from .mathkit.bessel import riccati_j_logs
 from .mathkit.vsh import VshTransform, get_transform, tail_fraction
 
@@ -47,6 +48,12 @@ class IndicatorSample:
     value: ScaledComplex
     trace_tail: float
     trusted: bool
+
+    def __post_init__(self):
+        # a value that is not finite is never trusted, whatever the tail says
+        v = self.value
+        finite = cmath.isfinite(v.mantissa) and math.isfinite(v.exponent)
+        self.trusted = bool(self.trusted) and finite
 
     @property
     def ln_abs(self) -> float:
@@ -158,8 +165,8 @@ def trace_energies(probe: CgoProbe, r_domain: float, L: int,
     d1, d2, ln_shift = _legendre_derivatives((2.0 * tau * tau + k * k) / (k * k), L)
     zeta = probe.zeta
     out = np.zeros((2, L + 1))
-    for pol, w in ((POL_U, probe.eta), (POL_V, np.cross(zeta, probe.eta) / k)):
-        u = np.cross(w, zeta)
+    for pol, w in ((POL_U, probe.eta), (POL_V, cross3(zeta, probe.eta) / k)):
+        u = cross3(w, zeta)
         a = float(np.vdot(u, u).real) / (k * k)
         b = abs(u @ np.conj(zeta)) ** 2 / k**4
         out[pol, 1:] = np.exp(radial[pol, 1:] + ln_shift - 2.0 * tau * r_domain

@@ -24,6 +24,16 @@ class Frame:
 
 
 _AXES = np.eye(3)
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b of two 3-vectors (real or complex), bit for bit np.cross.
+
+    The same elementwise products and differences as np.cross, without its
+    axis handling, which costs most of a call on single vectors.
+    """
+    return a[_NEXT] * b[_PREV] - a[_PREV] * b[_NEXT]
 
 
 def build_frame(rho) -> Frame:
@@ -39,7 +49,7 @@ def build_frame(rho) -> Frame:
     rho = rho / norm
     # np.argmin returns the first minimum, which is exactly the x<y<z tie rule
     axis = _AXES[int(np.argmin(np.abs(rho)))]
-    perp = np.cross(axis, rho)
+    perp = cross3(axis, rho)
     perp /= np.linalg.norm(perp)
-    cross = np.cross(rho, perp)
+    cross = cross3(rho, perp)
     return Frame(rho=rho, rho_perp=perp, rho_cross=cross)

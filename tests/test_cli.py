@@ -221,6 +221,19 @@ def test_cli_import_loads_no_hull_backend():
     assert res.stdout.strip() == "[]"
 
 
+def test_reconstruct_loads_no_scipy(tmp_path):
+    """A whole `reconstruct`, hull included, runs without any scipy module."""
+    argv = ["reconstruct", "--config", write_config(tmp_path, RECON),
+            "--out", str(tmp_path / "out")]
+    code = ("import sys; from enclosure.cli import main; "
+            f"rc = main({argv!r}); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(indicator.__file__))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert res.stdout.strip().splitlines()[-1] == "0 []"
+
+
 def test_sweep_empty_problem_emits_inf_sentinel(tmp_path):
     doc = dict(BASE, problem="empty")
     doc["geometry"] = {"r_domain": 1.0}

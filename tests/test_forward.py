@@ -6,9 +6,9 @@ from scipy.integrate import solve_ivp
 
 from enclosure.conventions import POL_U, POL_V, TE, TM
 from enclosure.errors import (DegreeMismatch, InvalidMedium, NearEigenvalue,
-                              PointOutOfDomain)
-from enclosure.forward import (Geometry, Medium, apply_impedance,
-                               solution_empty, solution_pec,
+                              PointOutOfDomain, RadialOverflow)
+from enclosure.forward import (Geometry, Medium, _guard_eigenvalues,
+                               apply_impedance, solution_empty, solution_pec,
                                solution_transmission)
 from enclosure.mathkit import VshCoeffs, get_transform
 
@@ -169,6 +169,17 @@ def test_near_eigenvalue_guard():
     k_eig = 4.493409457909064
     with pytest.raises(NearEigenvalue):
         solution_empty(k_eig, 1.0, 4)
+
+
+def test_guard_rejects_non_finite_determinants():
+    """A NaN fails every comparison, so finiteness is checked on its own."""
+    ones = np.ones(4)
+    with pytest.raises(RadialOverflow, match="TE radial determinant not finite at l = 2"):
+        _guard_eigenvalues("ball", 1e-10, ones, np.array([0.0, 1.0, np.nan, 1.0]),
+                           ones, ones, 3)
+    with pytest.raises(RadialOverflow, match="TM radial determinant not finite at l = 3"):
+        _guard_eigenvalues("ball", 1e-10, ones, ones,
+                           ones, np.array([0.0, 1.0, 1.0, np.inf]), 3)
 
 
 def test_invalid_medium():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from enclosure.errors import ZeroVector
-from enclosure.mathkit import build_frame
+from enclosure.mathkit import build_frame, cross3
 
 
 def _orthonormality_defect(frame):
@@ -55,3 +55,17 @@ def test_zero_vector_raises():
         build_frame([0.0, 0.0, 0.0])
     with pytest.raises(ZeroVector):
         build_frame([1e-13, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("kinds", ["real real", "complex complex", "complex real",
+                                   "real complex"])
+def test_cross3_is_np_cross_bit_for_bit(kinds):
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        a, b = (rng.standard_normal(3) * 10.0 ** rng.integers(-4, 5)
+                + (1j * rng.standard_normal(3) if kind == "complex" else 0.0)
+                for kind in kinds.split())
+        ref = np.cross(a, b)
+        got = cross3(a, b)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got.view(float), ref.view(float))

@@ -9,7 +9,7 @@ from enclosure.conventions import POL_U, POL_V, TE, TM
 from enclosure.errors import TruncationInsufficient
 from enclosure.forward import (Geometry, Medium, solution_empty, solution_pec,
                                solution_transmission)
-from enclosure.indicator import (IndicatorEngine, SweepConfig,
+from enclosure.indicator import (IndicatorEngine, IndicatorSample, SweepConfig,
                                  _legendre_derivatives, auto_degree,
                                  cgo_trace, indicator_value, trace_energies,
                                  volume_indicator_pec,
@@ -310,6 +310,19 @@ def test_engine_trust_diagnostics():
     assert s.trusted and s.trace_tail < 1e-8
     s2 = eng.sample(RHO, 40.0, 0.0)     # far beyond what L=40 resolves
     assert not s2.trusted
+
+
+@pytest.mark.parametrize("value", [ScaledComplex(complex(math.nan, 1.0), 0.0),
+                                   ScaledComplex(1.0 + 0j, math.inf),
+                                   ScaledComplex(1.0 + 0j, math.nan)],
+                         ids=["nan mantissa", "inf exponent", "nan exponent"])
+def test_non_finite_value_is_never_trusted(value):
+    s = IndicatorSample(rho=RHO, tau=10.0, t=0.0, value=value, trace_tail=0.0,
+                        trusted=True)
+    assert not s.trusted
+    ok = IndicatorSample(rho=RHO, tau=10.0, t=0.0, value=scaled(0.5 + 0.5j, 700.0),
+                         trace_tail=0.0, trusted=True)
+    assert ok.trusted
 
 
 def test_empty_problem_sweeps_to_zero():
