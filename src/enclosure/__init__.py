@@ -6,21 +6,21 @@ optics solutions, and recovers the obstacle's convex hull from the
 exponential dichotomy of the indicator functional.
 """
 
-from .cgo import CgoMode, CgoProbe, build_probe, eval_cgo
+from .cgo import CgoMode, CgoProbe, build_probe
 from .forward import (Geometry, ImpedanceOperator, Medium, solution_empty,
                       solution_pec, solution_transmission)
 from .indicator import (IndicatorEngine, IndicatorSample, SweepConfig,
                         indicator_value)
-from .recon import (SupportEstimate, classify_regime, estimate_support,
-                    reconstruct_hull, synth_translated)
+from .recon import (SupportEstimate, estimate_support, reconstruct_hull,
+                    synth_translated)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CgoMode", "CgoProbe", "build_probe", "eval_cgo",
+    "CgoMode", "CgoProbe", "build_probe",
     "Geometry", "Medium", "ImpedanceOperator",
     "solution_empty", "solution_pec", "solution_transmission",
     "IndicatorEngine", "IndicatorSample", "SweepConfig", "indicator_value",
-    "SupportEstimate", "classify_regime", "estimate_support",
+    "SupportEstimate", "estimate_support",
     "synth_translated", "reconstruct_hull",
 ]

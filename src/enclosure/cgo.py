@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureUnderResolved
-from .mathkit import (Frame, ScaledVector, build_frame, cross3, scaled,
-                      sphere_quadrature)
+from .mathkit import Frame, build_frame, cross3, scaled, sphere_quadrature
 
 
 class CgoMode(enum.Enum):
@@ -86,34 +85,17 @@ def build_probe(k: float, tau: float, t: float, rho, mode: CgoMode) -> CgoProbe:
 # evaluation
 
 
-def _phase_parts(probe: CgoProbe, x: np.ndarray):
-    """(real exponent tau(x.rho - t), oscillatory phase) at points x."""
-    xr = x @ probe.frame.rho
-    xp = x @ probe.frame.rho_perp
-    return probe.tau * (xr - probe.t), probe.phase_wavenumber * xp
-
-
-def eval_cgo(probe: CgoProbe, x) -> tuple[ScaledVector, ScaledVector]:
-    """(E0, H0) at a single point, in scaled (mantissa, exponent) form.
-
-    curl E0 = ik H0 and curl H0 = -ik E0 hold because curl acts as
-    (i zeta) wedge on this family.
-    """
-    x = np.asarray(x, dtype=float)
-    expo, phase = _phase_parts(probe, x)
-    osc = complex(math.cos(phase), math.sin(phase))
-    return (ScaledVector.build(probe.eta * osc, expo),
-            ScaledVector.build(probe.theta * osc, expo))
-
-
 def eval_cgo_batch(probe: CgoProbe, xs: np.ndarray, peel: float):
     """Mantissa fields at many points with a common peeled exponent.
 
     Returns (E0m, H0m) of shape (N, 3); the true fields are these times
     exp(peel).  Pick peel >= max tau(x.rho - t) to keep mantissas bounded.
+    curl E0 = ik H0 and curl H0 = -ik E0 hold because curl acts as
+    (i zeta) wedge on this family.
     """
     xs = np.asarray(xs, dtype=float)
-    expo, phase = _phase_parts(probe, xs)
+    expo = probe.tau * (xs @ probe.frame.rho - probe.t)
+    phase = probe.phase_wavenumber * (xs @ probe.frame.rho_perp)
     factor = np.exp(expo - peel + 1j * phase)
     return probe.eta[None, :] * factor[:, None], probe.theta[None, :] * factor[:, None]
 
@@ -209,6 +191,5 @@ def cgo_volume_norms(probe: CgoProbe, ball, q: float = 2.0,
     return tuple(out)
 
 
-__all__ = ["CgoMode", "CgoProbe", "make_zeta", "build_probe", "eval_cgo",
-           "eval_cgo_batch", "curl_amplitudes", "cgo_identity_defect",
-           "cgo_volume_norms"]
+__all__ = ["CgoMode", "CgoProbe", "make_zeta", "build_probe", "eval_cgo_batch",
+           "curl_amplitudes", "cgo_identity_defect", "cgo_volume_norms"]

@@ -200,6 +200,12 @@ def parse_config(doc: dict) -> RunConfig:
     if L is not None and (not _is_count(L) or L < 1):
         errors.append("truncation_degree: must be a positive integer or null")
         L = None
+    elif L is None and tau_grid and geometry is not None:
+        try:
+            auto_degree(float(max(tau_grid)), float(k), geometry.r_domain)
+        except OverflowError:
+            errors.append(f"tau_grid: max tau {max(tau_grid):g} overflows the "
+                          "automatic truncation degree; set truncation_degree")
 
     tol = dict(_DEFAULT_TOLERANCES)
     tol_raw = doc.get("tolerances", {})

@@ -71,18 +71,6 @@ class ImpedanceOperator:
     label: str = "empty"
 
 
-def apply_impedance(op: ImpedanceOperator, f: VshCoeffs) -> VshCoeffs:
-    """Coefficient-wise action of the impedance map on a nu^E trace."""
-    if f.L > op.L:
-        raise DegreeMismatch(f"trace degree {f.L} exceeds operator degree {op.L}")
-    out = VshCoeffs.zeros(f.L, ln_scale=f.ln_scale)
-    lte = op.lam[TE, :f.L + 1, None]
-    ltm = op.lam[TM, :f.L + 1, None]
-    out.data[POL_V] = lte * f.data[POL_U]
-    out.data[POL_U] = ltm * f.data[POL_V]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # radial machinery
 
@@ -380,6 +368,5 @@ def solution_transmission(k: float, geometry: Geometry, medium: Medium, L: int,
 
 
 __all__ = ["Geometry", "Medium", "ImpedanceOperator", "FieldSolution",
-           "apply_impedance",
            "solution_empty", "solution_pec", "solution_transmission",
            "DEFAULT_EIGEN_GUARD"]

@@ -35,9 +35,9 @@ DEFAULT_TAIL_TOL = 1e-8
 _LN2 = math.log(2.0)
 
 
-def auto_degree(tau_max: float, k: float, r_domain: float) -> int:
-    """Truncation rule: enough degrees to resolve the CGO trace at tau_max."""
-    return int(math.ceil(1.5 * math.sqrt(tau_max**2 + k**2) * r_domain)) + 10
+def auto_degree(max_tau: float, k: float, r_domain: float) -> int:
+    """Truncation rule: enough degrees to resolve the CGO trace at max_tau."""
+    return int(math.ceil(1.5 * math.sqrt(max_tau**2 + k**2) * r_domain)) + 10
 
 
 @dataclass
@@ -225,8 +225,8 @@ class SweepConfig:
     problem: str                         # 'pec' | 'transmission' | 'empty'
     geometry: Geometry
     k: float
+    L: int
     medium: Medium | None = None
-    L: int | None = None                 # None -> auto from max tau at use
     tail_tol: float = DEFAULT_TAIL_TOL
     eigen_guard: float = 1e-10
 
@@ -238,9 +238,9 @@ class SweepConfig:
 class IndicatorEngine:
     """Shared operator and radial-factor assembly for (tau, t, rho) sweeps."""
 
-    def __init__(self, config: SweepConfig, tau_max: float):
+    def __init__(self, config: SweepConfig):
         self.config = config
-        self.L = config.L or auto_degree(tau_max, config.k, config.geometry.r_domain)
+        self.L = config.L
         if config.problem == "empty":
             # no obstacle: the operator difference vanishes identically
             self.solution = solution_empty(config.k, config.geometry.r_domain,

@@ -1,4 +1,4 @@
-"""Spherical Bessel/Neumann/Hankel functions and Riccati-Bessel tables.
+"""Spherical Bessel and Neumann tables and Riccati-Bessel tables.
 
 j_l uses the downward ratio recurrence (overflow-free Miller scheme,
 normalized by j_0 = sin z / z); y_l uses the upward recurrence, which is
@@ -85,25 +85,6 @@ def riccati_j_logs(lmax: int, z: float):
     ell = np.arange(1, lmax + 1)
     log_dpsi[1:] += np.log(np.abs(z / ratios[1:] - ell))
     return log_j, log_dpsi
-
-
-def sph_bessel(kind: str, l: int, z):
-    """Single spherical Bessel value: kind in {'j', 'y', 'h1'}.
-
-    'y' and 'h1' raise PoleAtZero at z = 0.
-    """
-    if l < 0:
-        raise ValueError("order l must be >= 0")
-    if kind == "j":
-        return complex(spherical_jn_table(l, complex(z))[l])
-    if kind not in ("y", "h1"):
-        raise ValueError(f"unknown kind {kind!r}")
-    if abs(z) < 1e-300:
-        raise PoleAtZero(f"{kind} undefined at z = 0")
-    y = complex(spherical_yn_table(l, complex(z))[l])
-    if kind == "y":
-        return y
-    return complex(spherical_jn_table(l, complex(z))[l]) + 1j * y
 
 
 def riccati_tables(lmax: int, z):

@@ -12,8 +12,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 _LN2 = math.log(2.0)
 
 
@@ -119,47 +117,3 @@ def scaled(mantissa: complex, exponent: float) -> ScaledComplex:
         mantissa = mantissa * math.ldexp(1.0, -nbits)
         exponent = exponent + nbits * _LN2
     return ScaledComplex(complex(mantissa), float(exponent))
-
-
-def scaled_from_ln(ln_magnitude: float, phase: float = 0.0) -> ScaledComplex:
-    """Build exp(ln_magnitude) * exp(i phase) without overflow."""
-    return scaled(cmath.exp(1j * phase), ln_magnitude)
-
-
-@dataclass(frozen=True)
-class ScaledVector:
-    """Complex 3-vector with one shared natural-log exponent.
-
-    Used for CGO field values, where all three components carry the same
-    exponential factor.  Normalized so max component magnitude is in
-    [0.5, 2), or the vector is exactly zero with exponent 0.
-    """
-
-    vec: np.ndarray    # shape (3,), complex
-    exponent: float
-
-    @staticmethod
-    def build(vec, exponent: float = 0.0) -> "ScaledVector":
-        vec = np.asarray(vec, dtype=complex)
-        mag = float(np.max(np.abs(vec)))
-        if mag == 0.0:
-            return ScaledVector(vec, 0.0)
-        _, nbits = math.frexp(mag)
-        if nbits != 0:
-            vec = vec * math.ldexp(1.0, -nbits)
-            exponent = exponent + nbits * _LN2
-        return ScaledVector(vec, float(exponent))
-
-    def component(self, i: int) -> ScaledComplex:
-        return scaled(self.vec[i], self.exponent)
-
-    def norm(self) -> ScaledComplex:
-        """Euclidean norm as a scaled (real) value."""
-        return scaled(float(np.linalg.norm(self.vec)), self.exponent)
-
-    def to_array(self) -> np.ndarray:
-        """Plain complex array (may overflow for large exponents)."""
-        return self.vec * math.exp(self.exponent)
-
-    def scale_exp(self, delta: float) -> "ScaledVector":
-        return ScaledVector(self.vec, self.exponent + delta)

@@ -1,14 +1,12 @@
 """Support-function recovery and convex-hull assembly from indicator sweeps.
 
-The large-tau behavior of log|I| at fixed t classifies the probe level
-against the support value h(rho); at t = 0 the slope of log|I| versus tau
-is exactly 2 h(rho) up to a slowly varying prefactor, which the fit removes
-with a log(tau) regressor.
+At t = 0 the large-tau slope of log|I| versus tau is exactly 2 h(rho) up
+to a slowly varying prefactor, which the fit removes with a log(tau)
+regressor.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,18 +16,6 @@ import numpy as np
 from .errors import InsufficientTrustedSamples
 from .indicator import IndicatorSample
 from .mathkit import halfspace_hull
-
-
-class Regime(enum.Enum):
-    DECAY = "decay"
-    GROWTH = "growth"
-    CRITICAL = "critical"
-
-
-@dataclass
-class RegimeLabel:
-    tag: Regime
-    slope: float
 
 
 @dataclass
@@ -56,20 +42,6 @@ def _trusted_points(samples, window_frac: float):
         sel = np.ones_like(sel, dtype=bool)
     lnv = np.array([p[1] for p in pts])
     return taus[sel], lnv[sel]
-
-
-def classify_regime(samples, slope_tol: float = 0.05,
-                    window_frac: float = 0.5) -> RegimeLabel:
-    """Least-squares slope of log|I| vs tau over the top of the tau window."""
-    taus, lnv = _trusted_points(samples, window_frac)
-    slope = float(np.polyfit(taus, lnv, 1)[0])
-    if slope < -slope_tol:
-        tag = Regime.DECAY
-    elif slope > slope_tol:
-        tag = Regime.GROWTH
-    else:
-        tag = Regime.CRITICAL
-    return RegimeLabel(tag=tag, slope=slope)
 
 
 def estimate_support(samples, window_frac: float = 0.5,
@@ -168,6 +140,5 @@ def directions_fibonacci(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-__all__ = ["Regime", "RegimeLabel", "SupportEstimate", "classify_regime",
-           "estimate_support", "synth_translated", "reconstruct_hull",
-           "directions_axes26", "directions_fibonacci"]
+__all__ = ["SupportEstimate", "estimate_support", "synth_translated",
+           "reconstruct_hull", "directions_axes26", "directions_fibonacci"]

@@ -6,7 +6,7 @@ import pytest
 import scipy.special as sps
 
 from enclosure.errors import PoleAtZero
-from enclosure.mathkit import riccati_tables, sph_bessel
+from enclosure.mathkit import riccati_tables
 from enclosure.mathkit.bessel import (riccati_j_logs, spherical_jn_table,
                                       spherical_yn_table)
 
@@ -24,23 +24,17 @@ def series_jl(l, z, dps=35, terms=60):
 
 
 def test_j0_at_pi_vanishes():
-    assert abs(sph_bessel("j", 0, math.pi)) < 1e-14
-
-
-def test_h1_zero_order_closed_form():
-    # h1_0(z) = -i exp(iz)/z
-    val = sph_bessel("h1", 0, 1.0)
-    assert abs(val - (-1j * np.exp(1j))) < 1e-14
+    assert abs(spherical_jn_table(0, math.pi)[0]) < 1e-14
 
 
 def test_j5_matches_series_oracle():
-    assert abs(sph_bessel("j", 5, 2.0) - series_jl(5, 2.0)) < 1e-13
+    assert abs(spherical_jn_table(5, 2.0)[5] - series_jl(5, 2.0)) < 1e-13
 
 
 @pytest.mark.parametrize("l,z", [(0, 0.3), (3, 1.7), (8, 0.5), (12, 9.0), (20, 30.0)])
 def test_j_matches_series_various(l, z):
     ref = series_jl(l, z)
-    assert abs(sph_bessel("j", l, z) - ref) < 1e-13 * max(1.0, abs(ref) / 1e-3)
+    assert abs(spherical_jn_table(l, z)[l] - ref) < 1e-13 * max(1.0, abs(ref) / 1e-3)
 
 
 def test_tables_match_scipy_real_args():
@@ -78,16 +72,14 @@ def test_complex_argument_against_mpmath():
         with mpmath.workdps(30):
             ref = complex(mpmath.sqrt(mpmath.pi / (2 * z))
                           * mpmath.besselj(l + mpmath.mpf(1) / 2, z))
-        assert abs(sph_bessel("j", l, z) - ref) < 1e-12 * max(1.0, abs(ref))
+        assert abs(spherical_jn_table(l, z)[l] - ref) < 1e-12 * max(1.0, abs(ref))
 
 
 def test_pole_at_zero():
     with pytest.raises(PoleAtZero):
-        sph_bessel("y", 2, 0.0)
-    with pytest.raises(PoleAtZero):
-        sph_bessel("h1", 0, 0.0)
-    assert sph_bessel("j", 0, 0.0) == 1.0
-    assert sph_bessel("j", 3, 0.0) == 0.0
+        spherical_yn_table(2, 0.0)
+    assert spherical_jn_table(0, 0.0)[0] == 1.0
+    assert spherical_jn_table(3, 0.0)[3] == 0.0
 
 
 def test_riccati_wronskians():
@@ -117,10 +109,3 @@ def test_vectorized_tables_match_scalar():
     for idx in np.ndindex(zs.shape):
         for vec, ref in zip(tables, riccati_tables(15, float(zs[idx]))):
             assert np.allclose(vec[(slice(None),) + idx], ref, rtol=1e-13)
-
-
-def test_invalid_kind_and_order():
-    with pytest.raises(ValueError):
-        sph_bessel("k", 1, 1.0)
-    with pytest.raises(ValueError):
-        sph_bessel("j", -1, 1.0)

@@ -93,6 +93,12 @@ INVALID_CONFIGS = [
     ("nan tau", dict(BASE, tau_grid=[6.0, float("nan")]), "tau_grid"),
     ("infinite domain radius", dict(BASE, geometry={
         "r_obstacle": 0.5, "r_domain": float("inf")}), "geometry"),
+    ("tau squared overflows", dict(BASE, tau_grid=[1.0, 1e200],
+                                   truncation_degree=None),
+     "config error: tau_grid: "),
+    ("infinite auto degree", dict(BASE, tau_grid={
+        "start": 1, "stop": 1e308, "count": 3}, truncation_degree=None),
+     "config error: tau_grid: "),
 ]
 
 
@@ -211,10 +217,11 @@ def test_out_is_an_existing_file_exit_2(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_hull_backend():
-    """scipy's optimize and spatial load only when a hull is built."""
+    """Importing the CLI loads no scipy module and none of the oracle
+    modules behind `selftest`."""
     code = ("import sys, enclosure.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m in ('enclosure.selftest', 'enclosure.layerpot')))")
     src = os.path.dirname(os.path.dirname(indicator.__file__))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=src))

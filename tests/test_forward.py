@@ -8,7 +8,7 @@ from enclosure.conventions import POL_U, POL_V, TE, TM
 from enclosure.errors import (DegreeMismatch, InvalidMedium, NearEigenvalue,
                               PointOutOfDomain, RadialOverflow)
 from enclosure.forward import (Geometry, Medium, _guard_eigenvalues,
-                               apply_impedance, solution_empty, solution_pec,
+                               solution_empty, solution_pec,
                                solution_transmission)
 from enclosure.mathkit import VshCoeffs, get_transform
 
@@ -189,57 +189,17 @@ def test_invalid_medium():
         solution_transmission(K, GEOM, Medium(1.5), 4)
 
 
+def test_amplitudes_degree_mismatch():
+    sol = solution_pec(K, GEOM, 4)
+    with pytest.raises(DegreeMismatch):
+        sol.amplitudes(VshCoeffs.zeros(6))
+
+
 def test_geometry_validation():
     with pytest.raises(ValueError):
         Geometry(1.0, 0.5)
     with pytest.raises(ValueError):
         Geometry(0.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# operator application
-
-
-def test_apply_zero_and_single_mode():
-    L = 6
-    op = solution_pec(K, GEOM, L).operator
-    z = VshCoeffs.zeros(L)
-    assert np.all(apply_impedance(op, z).data == 0)
-    f = VshCoeffs.single_mode(L, 3, 2, POL_U, 1.0 + 2.0j)
-    g = apply_impedance(op, f)
-    assert g.data[POL_V, 3, 2 + L] == op.lam[TE, 3] * (1.0 + 2.0j)
-    g.data[POL_V, 3, 2 + L] = 0.0
-    assert np.max(np.abs(g.data)) == 0.0
-
-
-def test_apply_linearity():
-    L = 8
-    op = solution_transmission(K, GEOM, Medium(0.5), L).operator
-    rng = np.random.default_rng(9)
-    f1, f2 = VshCoeffs.zeros(L), VshCoeffs.zeros(L)
-    f1.data[:] = rng.standard_normal(f1.data.shape) + 1j * rng.standard_normal(f1.data.shape)
-    f2.data[:] = rng.standard_normal(f2.data.shape) + 1j * rng.standard_normal(f2.data.shape)
-    a, b = 1.3 - 0.2j, -0.7 + 0.9j
-    comb = VshCoeffs(L, a * f1.data + b * f2.data)
-    lhs = apply_impedance(op, comb).data
-    rhs = a * apply_impedance(op, f1).data + b * apply_impedance(op, f2).data
-    assert np.max(np.abs(lhs - rhs)) < 1e-13 * np.max(np.abs(rhs))
-
-
-def test_apply_m_independence():
-    L = 6
-    op = solution_pec(K, GEOM, L).operator
-    outs = []
-    for m in (-4, 0, 3):
-        f = VshCoeffs.single_mode(L, 4, m, POL_V)
-        outs.append(apply_impedance(op, f).data[POL_U, 4, m + L])
-    assert np.allclose(outs, outs[0], atol=0, rtol=1e-15)
-
-
-def test_apply_degree_mismatch():
-    op = solution_empty(K, 1.0, 4).operator
-    with pytest.raises(DegreeMismatch):
-        apply_impedance(op, VshCoeffs.zeros(6))
 
 
 def test_truncation_stability_of_entries():

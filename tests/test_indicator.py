@@ -273,7 +273,7 @@ def test_indicator_truncation_invariance():
 
 def test_t_sweep_is_affine_in_t():
     cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=40)
-    eng = IndicatorEngine(cfg, tau_max=12.0)
+    eng = IndicatorEngine(cfg)
     samples = eng.t_sweep(RHO, 12.0, [0.0, 0.25, 0.5, 0.75, 1.0])
     lns = np.array([s.ln_abs for s in samples])
     slopes = np.diff(lns) / 0.25
@@ -283,7 +283,7 @@ def test_t_sweep_is_affine_in_t():
 def test_tau_sweep_dichotomy_signs():
     cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=56)
     taus = [10.0, 14.0, 18.0, 22.0, 26.0]
-    eng = IndicatorEngine(cfg, tau_max=max(taus))
+    eng = IndicatorEngine(cfg)
     above = eng.tau_sweep(RHO, 0.7, taus)
     below = eng.tau_sweep(RHO, 0.3, taus)
     d_above = np.diff([s.ln_abs for s in above])
@@ -295,7 +295,7 @@ def test_tau_sweep_dichotomy_signs():
 def test_slope_sign_stability_near_support():
     cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=56)
     taus = np.linspace(10.0, 30.0, 9)
-    eng = IndicatorEngine(cfg, tau_max=float(max(taus)))
+    eng = IndicatorEngine(cfg)
     for t, sign in ((0.6, -1.0), (0.4, +1.0)):
         sweep = eng.tau_sweep(RHO, t, list(taus))
         lns = np.array([s.ln_abs for s in sweep])
@@ -305,7 +305,7 @@ def test_slope_sign_stability_near_support():
 
 def test_engine_trust_diagnostics():
     cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=40)
-    eng = IndicatorEngine(cfg, tau_max=10.0)
+    eng = IndicatorEngine(cfg)
     s = eng.sample(RHO, 10.0, 0.0)
     assert s.trusted and s.trace_tail < 1e-8
     s2 = eng.sample(RHO, 40.0, 0.0)     # far beyond what L=40 resolves
@@ -327,7 +327,7 @@ def test_non_finite_value_is_never_trusted(value):
 
 def test_empty_problem_sweeps_to_zero():
     cfg = SweepConfig(problem="empty", geometry=GEOM, k=K, L=24)
-    sweep = IndicatorEngine(cfg, tau_max=6.0).tau_sweep(RHO, 0.5, [5.0, 6.0])
+    sweep = IndicatorEngine(cfg).tau_sweep(RHO, 0.5, [5.0, 6.0])
     assert all(s.value.is_zero for s in sweep)
     assert all(s.ln_abs == -math.inf for s in sweep)
 
@@ -351,7 +351,7 @@ def test_indicator_value_matches_per_degree_sum(problem):
     engine on closed-form energies, indicator_value on a VSH trace."""
     cfg = SweepConfig(problem=problem, geometry=GEOM, k=K, L=64,
                       medium=Medium(0.5) if problem == "transmission" else None)
-    eng = IndicatorEngine(cfg, tau_max=50.0)
+    eng = IndicatorEngine(cfg)
     rho = np.array([0.6, 0.0, 0.8])
     transform = get_transform(eng.L)
 
@@ -375,7 +375,7 @@ def test_indicator_direction_independent_at_high_tau():
     """For the concentric ball the indicator does not depend on rho; at
     L = 96, tau = 50 the closed-form energies keep that to roundoff."""
     cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=96)
-    eng = IndicatorEngine(cfg, tau_max=50.0)
+    eng = IndicatorEngine(cfg)
     rng = np.random.default_rng(3)
     lns = [eng.sample(rng.standard_normal(3), 50.0, 0.5).ln_abs for _ in range(16)]
     assert max(lns) - min(lns) < 1e-10
