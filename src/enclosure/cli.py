@@ -68,17 +68,14 @@ def _engine_for(config: RunConfig) -> IndicatorEngine:
     return IndicatorEngine(sweep_cfg)
 
 
-def _direction_samples(config: RunConfig, engine: IndicatorEngine, rho, ts):
-    """Samples of one direction ordered by (t, tau); one CGO trace per tau.
-
-    t enters the indicator only through an exact exponent, so each
-    t_sweep call shares its trace across ts.
-    """
-    by_tau = [engine.t_sweep(rho, float(tau), ts) for tau in config.tau_grid]
-    samples = [s for row in zip(*by_tau) for s in row]
+def _direction_samples(config: RunConfig, engine: IndicatorEngine, ts):
+    """Each direction's samples ordered by (t, tau), from one engine sweep
+    that computes the trace energies once per tau."""
+    per_direction = engine.sweep(config.directions, config.tau_grid, ts)
     if np.any(config.translation != 0.0):
-        samples = synth_translated(samples, config.translation)
-    return samples
+        per_direction = [synth_translated(samples, config.translation)
+                         for samples in per_direction]
+    return per_direction
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +86,11 @@ def cmd_sweep(config: RunConfig, out: str) -> int:
     engine = _engine_for(config)
     lines = ["rho_x,rho_y,rho_z,tau,t,re_mantissa,im_mantissa,ln_exponent,"
              "log_abs_I,tail,trusted"]
-    for rho in config.directions:
-        for s in _direction_samples(config, engine, rho, config.t_grid):
+    for samples in _direction_samples(config, engine, config.t_grid):
+        for s in samples:
             v = s.value
             lines.append(",".join([
-                _fmt(rho[0]), _fmt(rho[1]), _fmt(rho[2]),
+                _fmt(s.rho[0]), _fmt(s.rho[1]), _fmt(s.rho[2]),
                 _fmt(s.tau), _fmt(s.t),
                 _fmt(v.mantissa.real), _fmt(v.mantissa.imag), _fmt(v.exponent),
                 _fmt(s.ln_abs), _fmt(s.trace_tail), "1" if s.trusted else "0",
@@ -106,8 +103,8 @@ def cmd_sweep(config: RunConfig, out: str) -> int:
 
 def cmd_reconstruct(config: RunConfig, out: str) -> int:
     engine = _engine_for(config)
-    estimates = [estimate_support(_direction_samples(config, engine, rho, [0.0]))
-                 for rho in config.directions]
+    estimates = [estimate_support(samples)
+                 for samples in _direction_samples(config, engine, [0.0])]
 
     truth = None
     if config.truth_radius is not None:

@@ -21,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgo import (CgoMode, CgoProbe, _ball_lq_integrals, build_probe,
-                  eval_cgo_batch)
+from .cgo import CgoMode, CgoProbe, _ball_lq_integrals, eval_cgo_batch
 from .conventions import POL_U, POL_V, TE, TM
 from .errors import QuadratureUnderResolved, TruncationInsufficient
 from .forward import (FieldSolution, Geometry, ImpedanceOperator, Medium,
                       solution_empty, solution_pec, solution_transmission)
-from .mathkit import ScaledComplex, VshCoeffs, cross3, scaled
+from .mathkit import ScaledComplex, VshCoeffs, scaled
 from .mathkit.bessel import riccati_j_logs
 from .mathkit.vsh import VshTransform, get_transform, tail_fraction
 
@@ -143,7 +142,20 @@ def _legendre_derivatives(s: float, L: int):
     return np.array(d1), np.array(d2), np.array(nbits) * _LN2
 
 
-def trace_energies(probe: CgoProbe, r_domain: float, L: int,
+def _trace_weights(k: float, tau: float, mode: CgoMode):
+    """(a, b) = (|u|^2 / k^2, |u.conj(zeta)|^2 / k^4), u = w x zeta, of the
+    U and then the V energies: rotation invariants of the probe, fixed by
+    (k, tau, mode).  |eta|^2 is k^2 for the impenetrable probe and
+    k^2 (1 + 2 k^2 tau^2 / |zeta|^4) for the penetrable one."""
+    k2, zeta2 = k * k, 2.0 * tau * tau + k * k
+    tilt = 4.0 * tau * tau * (tau * tau + k2) / (k2 * k2)
+    if mode is CgoMode.IMPENETRABLE:
+        return (k2, 0.0), (zeta2, k2 * tilt)
+    eta2 = k2 * (1.0 + 2.0 * k2 * tau * tau / (zeta2 * zeta2))
+    return (eta2 * zeta2 / k2, eta2 * tilt), (eta2, 0.0)
+
+
+def trace_energies(k: float, tau: float, mode: CgoMode, r_domain: float, L: int,
                    radial: np.ndarray | None = None) -> np.ndarray:
     """Degree energies sum_m |h_lm|^2 of the nu^E0 trace, in closed form.
 
@@ -151,37 +163,32 @@ def trace_energies(probe: CgoProbe, r_domain: float, L: int,
     `cgo_trace(...).degree_energies()`, that is, times exp(-2 tau R):
         U_l = (4 pi)^2 j_l(kR)^2 A_l(eta),
         V_l = (4 pi)^2 (psi_l'(kR) / kR)^2 A_l(zeta x eta / k),
-        A_l(w) = (2l+1) / (4 pi l (l+1))
-                 (|u|^2 P_l'(s) / k^2 + |u.conj(zeta)|^2 P_l''(s) / k^4),
-    with u = w x zeta and s = zeta.conj(zeta) / k^2.  This is the addition
-    theorem for the solid harmonics, continued to the complex wave vector
-    zeta and differentiated along u and conj(u).  Each degree costs O(1)
-    and the result is exact: no quadrature, no truncation of the field.
-    `radial` is `trace_radial_logs(k, r_domain, L)`, computed here if None.
+        A_l(w) = (2l+1) / (4 pi l (l+1)) (a P_l'(s) + b P_l''(s)),
+    with (a, b) = `_trace_weights(k, tau, mode)` and s = zeta.conj(zeta) / k^2.
+    This is the addition theorem for the solid harmonics, continued to the
+    complex wave vector zeta and differentiated along u = w x zeta and
+    conj(u); no direction enters.  Each degree costs O(1) and the result is
+    exact.  `radial` is `trace_radial_logs(k, r_domain, L)`, computed here
+    if None.
     """
-    k, tau = probe.k, probe.tau
     if radial is None:
         radial = trace_radial_logs(k, r_domain, L)
     d1, d2, ln_shift = _legendre_derivatives((2.0 * tau * tau + k * k) / (k * k), L)
-    zeta = probe.zeta
     out = np.zeros((2, L + 1))
-    for pol, w in ((POL_U, probe.eta), (POL_V, cross3(zeta, probe.eta) / k)):
-        u = cross3(w, zeta)
-        a = float(np.vdot(u, u).real) / (k * k)
-        b = abs(u @ np.conj(zeta)) ** 2 / k**4
+    for pol, (a, b) in zip((POL_U, POL_V), _trace_weights(k, tau, mode)):
         out[pol, 1:] = np.exp(radial[pol, 1:] + ln_shift - 2.0 * tau * r_domain
                               + np.log(a * d1 + b * d2))
     return out
 
 
-def _degree_sum(dlam: np.ndarray, probe: CgoProbe, r_domain: float,
+def _degree_sum(dlam: np.ndarray, k: float, tau: float, r_domain: float,
                 energies: np.ndarray, ln_scale: float) -> ScaledComplex:
     """exp(ln_scale) ik tau R^2 sum_l [conj(dlam_TE) U_l - conj(dlam_TM) V_l].
 
     The terms are rescaled by the exact power of two of the largest and
     summed once.
     """
-    terms = 1j * probe.k * probe.tau * r_domain**2 * (
+    terms = 1j * k * tau * r_domain**2 * (
         np.conj(dlam[TE]) * energies[POL_U] - np.conj(dlam[TM]) * energies[POL_V])
     _, nbits = math.frexp(float(np.max(np.abs(terms))))
     total = complex(np.sum(terms * math.ldexp(1.0, -nbits)))
@@ -210,8 +217,8 @@ def indicator_value(op_d: ImpedanceOperator, op_empty: ImpedanceOperator,
     dlam = _operator_difference(op_d, op_empty)
     if trace is None:
         trace, _ = cgo_trace(probe, op_d.r_domain, op_d.L, tail_tol=tail_tol)
-    return _degree_sum(dlam, probe, op_d.r_domain, trace.degree_energies(),
-                       2.0 * trace.ln_scale)
+    return _degree_sum(dlam, probe.k, probe.tau, op_d.r_domain,
+                       trace.degree_energies(), 2.0 * trace.ln_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -263,32 +270,22 @@ class IndicatorEngine:
         self.dlam = _operator_difference(self.op_d, self.op_empty)
         self.radial = trace_radial_logs(config.k, self.r_domain, self.L)
 
-    def probe(self, rho, tau: float, t: float) -> CgoProbe:
-        return build_probe(self.config.k, tau, t, rho, self.config.mode())
-
-    def sample(self, rho, tau: float, t: float) -> IndicatorSample:
-        return self.t_sweep(rho, tau, [t])[0]
-
-    def tau_sweep(self, rho, t: float, taus) -> list[IndicatorSample]:
-        return [self.sample(rho, float(tau), t) for tau in taus]
-
-    def t_sweep(self, rho, tau: float, ts) -> list[IndicatorSample]:
-        """Samples over t at fixed tau; one probe and one set of trace
-        energies shared, since t enters only the exponent."""
-        ts = [float(t) for t in ts]
-        if not ts:
-            return []
-        probe = self.probe(rho, float(tau), ts[0])
-        energies = trace_energies(probe, self.r_domain, self.L, self.radial)
-        tail = tail_fraction(energies)
-        out = []
-        for t in ts:
-            value = _degree_sum(self.dlam, probe, self.r_domain, energies,
-                                2.0 * (probe.tau * (self.r_domain - t)))
-            out.append(IndicatorSample(rho=np.asarray(rho, dtype=float), tau=probe.tau,
-                                       t=t, value=value, trace_tail=tail,
-                                       trusted=tail <= self.config.tail_tol))
-        return out
+    def sweep(self, rhos, taus, ts) -> list[list[IndicatorSample]]:
+        """Each direction's samples ordered by (t, tau).  The concentric
+        indicator depends on (tau, t) alone: one set of trace energies per
+        tau and one value per (tau, t), which every direction shares."""
+        cfg, R = self.config, self.r_domain
+        by_tau = []
+        for tau in map(float, taus):
+            energies = trace_energies(cfg.k, tau, cfg.mode(), R, self.L, self.radial)
+            by_tau.append((tau, energies, tail_fraction(energies)))
+        cells = [(tau, t, _degree_sum(self.dlam, cfg.k, tau, R, energies,
+                                      2.0 * (tau * (R - t))), tail)
+                 for t in map(float, ts) for tau, energies, tail in by_tau]
+        return [[IndicatorSample(rho=np.asarray(rho, dtype=float), tau=tau, t=t,
+                                 value=value, trace_tail=tail,
+                                 trusted=tail <= cfg.tail_tol)
+                 for tau, t, value, tail in cells] for rho in rhos]
 
 
 # ---------------------------------------------------------------------------

@@ -199,14 +199,15 @@ def _check_scaling_identity():
 
 
 def _check_closed_form_energies():
-    """Closed-form trace energies against the VSH analysis of the sampled
-    trace.  The analysis runs at 2L: at L itself the tau = 10 trace is not
-    band-limited, and its top degrees alias."""
+    """Closed-form trace energies, which take no direction, against the VSH
+    analysis of the sampled trace of one probe.  The analysis runs at 2L:
+    at L itself the tau = 10 trace is not band-limited, and its top degrees
+    alias.  k = 2.5 catches a wrong power of k, which k = 1 hides."""
     L, tau = 24, 10.0
     worst = 0.0
-    for mode in (CgoMode.IMPENETRABLE, CgoMode.PENETRABLE):
-        p = build_probe(1.0, tau, 0.0, np.array([0.3, -0.4, 0.8]), mode)
-        closed = trace_energies(p, 1.0, L)
+    for k, mode in [(k, mode) for k in (1.0, 2.5) for mode in CgoMode]:
+        p = build_probe(k, tau, 0.0, np.array([0.3, -0.4, 0.8]), mode)
+        closed = trace_energies(k, tau, mode, 1.0, L)
         ref = cgo_trace(p, 1.0, 2 * L)[0].degree_energies()[:, :L + 1]
         carried = ref > 1e-12 * ref.sum()
         worst = max(worst, float(np.max(np.abs(closed - ref)[carried] / ref[carried])))

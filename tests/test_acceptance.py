@@ -162,9 +162,8 @@ def _dichotomy_slopes(problem, medium):
     eng = IndicatorEngine(cfg)
     worst_above = -math.inf     # must stay <= -0.1
     worst_below = math.inf      # must stay >= +0.1
-    for rho in DIRS26:
-        above = eng.tau_sweep(rho, 0.7, TAUS)
-        below = eng.tau_sweep(rho, 0.3, TAUS)
+    for above, below in zip(eng.sweep(DIRS26, TAUS, [0.7]),
+                            eng.sweep(DIRS26, TAUS, [0.3])):
         assert all(s.trusted for s in above + below)
         worst_above = max(worst_above, _slope(TAUS, [s.ln_abs for s in above]))
         worst_below = min(worst_below, _slope(TAUS, [s.ln_abs for s in below]))
@@ -189,7 +188,7 @@ def _support_sweeps(problem, medium):
     cfg = SweepConfig(problem=problem, geometry=GEOM, k=K, medium=medium, L=64)
     eng = IndicatorEngine(cfg)
     taus = np.linspace(15.0, 30.0, 8)
-    return [eng.tau_sweep(rho, 0.0, taus) for rho in DIRS26]
+    return eng.sweep(DIRS26, taus, [0.0])
 
 
 def test_criterion_6_support_recovery():

@@ -166,7 +166,10 @@ def test_sweep_csv_shape_and_determinism(tmp_path, capsys):
     assert float(first[3]) == 6.0 and float(first[4]) == 0.3
 
 
-def test_sweep_one_trace_per_direction_and_tau(tmp_path, monkeypatch):
+def test_one_trace_per_tau_and_no_probe(tmp_path, monkeypatch):
+    """The concentric indicator depends on (tau, t) alone: `sweep` and
+    `reconstruct` compute the trace energies once per tau, shared by every
+    direction and t, and build no CGO probe."""
     calls = []
     trace_energies = indicator.trace_energies
 
@@ -174,11 +177,19 @@ def test_sweep_one_trace_per_direction_and_tau(tmp_path, monkeypatch):
         calls.append(1)
         return trace_energies(*args, **kwargs)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_probe called")
+
     monkeypatch.setattr(indicator, "trace_energies", counting)
-    cfgp = write_config(tmp_path, BASE)
-    assert main(["sweep", "--config", cfgp, "--out", str(tmp_path / "o")]) == 0
-    # the t grid shares each trace: 6 directions x 4 tau, not x 2 t as well
-    assert len(calls) == 6 * 4
+    for name, module in list(sys.modules.items()):
+        if name.startswith("enclosure") and hasattr(module, "build_probe"):
+            monkeypatch.setattr(module, "build_probe", refuse)
+    for command, doc, n_tau in (("sweep", BASE, 4), ("reconstruct", RECON, 8)):
+        calls.clear()
+        cfgp = write_config(tmp_path, doc, name=f"{command}.json")
+        assert main([command, "--config", cfgp, "--out", str(tmp_path / command)]) == 0
+        # 6 directions and 2 t share each tau's trace
+        assert len(calls) == n_tau
 
 
 def test_sweep_builds_no_transform(tmp_path, monkeypatch):

@@ -10,11 +10,12 @@ from enclosure.errors import TruncationInsufficient
 from enclosure.forward import (Geometry, Medium, solution_empty, solution_pec,
                                solution_transmission)
 from enclosure.indicator import (IndicatorEngine, IndicatorSample, SweepConfig,
-                                 _legendre_derivatives, auto_degree,
+                                 _legendre_derivatives, _trace_weights,
+                                 auto_degree,
                                  cgo_trace, indicator_value, trace_energies,
                                  volume_indicator_pec,
                                  volume_indicator_transmission)
-from enclosure.mathkit import ScaledComplex, get_transform, scaled
+from enclosure.mathkit import ScaledComplex, cross3, get_transform, scaled
 
 K = 1.0
 GEOM = Geometry(0.5, 1.0)
@@ -60,17 +61,41 @@ def test_trace_truncation_guard():
 @pytest.mark.parametrize("mode", list(CgoMode))
 @pytest.mark.parametrize("tau", [2.0, 10.0, 20.0])
 def test_trace_energies_match_transform(L, mode, tau):
-    """The closed form against the VSH analysis of the sampled trace.
+    """The closed form against the VSH analysis of the sampled trace, at a
+    random direction (the closed form takes none) and at k = 1, 0.4 and 2.5
+    (at k = 1 a wrong power of k would pass).
 
     The analysis runs at max(L, 64): at L = 24 the trace is not band-limited
     from tau = 10 on, and its top degrees alias."""
     rng = np.random.default_rng(int(10 * tau) + L)
-    probe = build_probe(K, tau, 0.4, rng.standard_normal(3), mode)
-    closed = trace_energies(probe, 1.0, L)
-    ref = cgo_trace(probe, 1.0, max(L, 64))[0].degree_energies()[:, :L + 1]
-    carried = ref > 1e-12 * ref.sum()
-    assert np.all(closed[:, 0] == 0.0)
-    assert np.max(np.abs(closed - ref)[carried] / ref[carried]) < 1e-8
+    for k in (K, 0.4, 2.5):
+        probe = build_probe(k, tau, 0.4, rng.standard_normal(3), mode)
+        closed = trace_energies(k, tau, mode, 1.0, L)
+        ref = cgo_trace(probe, 1.0, max(L, 64))[0].degree_energies()[:, :L + 1]
+        carried = ref > 1e-12 * ref.sum()
+        assert np.all(closed[:, 0] == 0.0)
+        assert np.max(np.abs(closed - ref)[carried] / ref[carried]) < 1e-8, k
+
+
+def test_trace_weights_match_probe_algebra():
+    """The closed-form weights a = |u|^2 / k^2 and b = |u.conj(zeta)|^2 / k^4,
+    u = w x zeta, against the cross products of built probes at random
+    directions; an exact zero is compared against the scale tau^2 a."""
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for _ in range(200):
+        k, tau = rng.uniform(0.2, 3.0), rng.uniform(0.5, 80.0)
+        for mode in CgoMode:
+            p = build_probe(k, tau, 0.0, rng.standard_normal(3), mode)
+            zeta = p.zeta
+            for w, (a, b) in zip((p.eta, cross3(zeta, p.eta) / k),
+                                 _trace_weights(k, tau, mode)):
+                u = cross3(w, zeta)
+                a_ref = float(np.vdot(u, u).real) / k**2
+                b_ref = abs(u @ np.conj(zeta)) ** 2 / k**4
+                worst = max(worst, abs(a - a_ref) / a_ref,
+                            abs(b - b_ref) / (b_ref if b else tau * tau * a_ref))
+    assert worst < 1e-9
 
 
 @pytest.mark.parametrize("s", [1.0, 1.5, 801.0, 5001.0])
@@ -274,7 +299,7 @@ def test_indicator_truncation_invariance():
 def test_t_sweep_is_affine_in_t():
     cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=40)
     eng = IndicatorEngine(cfg)
-    samples = eng.t_sweep(RHO, 12.0, [0.0, 0.25, 0.5, 0.75, 1.0])
+    [samples] = eng.sweep([RHO], [12.0], [0.0, 0.25, 0.5, 0.75, 1.0])
     lns = np.array([s.ln_abs for s in samples])
     slopes = np.diff(lns) / 0.25
     assert np.max(np.abs(slopes + 2.0 * 12.0)) < 1e-9
@@ -284,8 +309,8 @@ def test_tau_sweep_dichotomy_signs():
     cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=56)
     taus = [10.0, 14.0, 18.0, 22.0, 26.0]
     eng = IndicatorEngine(cfg)
-    above = eng.tau_sweep(RHO, 0.7, taus)
-    below = eng.tau_sweep(RHO, 0.3, taus)
+    [above] = eng.sweep([RHO], taus, [0.7])
+    [below] = eng.sweep([RHO], taus, [0.3])
     d_above = np.diff([s.ln_abs for s in above])
     d_below = np.diff([s.ln_abs for s in below])
     assert np.all(d_above < 0)          # decay above the support level
@@ -297,7 +322,7 @@ def test_slope_sign_stability_near_support():
     taus = np.linspace(10.0, 30.0, 9)
     eng = IndicatorEngine(cfg)
     for t, sign in ((0.6, -1.0), (0.4, +1.0)):
-        sweep = eng.tau_sweep(RHO, t, list(taus))
+        [sweep] = eng.sweep([RHO], taus, [t])
         lns = np.array([s.ln_abs for s in sweep])
         slopes = np.diff(lns) / np.diff(taus)
         assert np.all(np.sign(slopes) == sign), (t, slopes)
@@ -306,9 +331,8 @@ def test_slope_sign_stability_near_support():
 def test_engine_trust_diagnostics():
     cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=40)
     eng = IndicatorEngine(cfg)
-    s = eng.sample(RHO, 10.0, 0.0)
+    [[s, s2]] = eng.sweep([RHO], [10.0, 40.0], [0.0])   # 40 is far beyond L=40
     assert s.trusted and s.trace_tail < 1e-8
-    s2 = eng.sample(RHO, 40.0, 0.0)     # far beyond what L=40 resolves
     assert not s2.trusted
 
 
@@ -327,7 +351,7 @@ def test_non_finite_value_is_never_trusted(value):
 
 def test_empty_problem_sweeps_to_zero():
     cfg = SweepConfig(problem="empty", geometry=GEOM, k=K, L=24)
-    sweep = IndicatorEngine(cfg).tau_sweep(RHO, 0.5, [5.0, 6.0])
+    [sweep] = IndicatorEngine(cfg).sweep([RHO], [5.0, 6.0], [0.5])
     assert all(s.value.is_zero for s in sweep)
     assert all(s.ln_abs == -math.inf for s in sweep)
 
@@ -360,10 +384,10 @@ def test_indicator_value_matches_per_degree_sum(problem):
         assert diff.is_zero or diff.ln_abs() - ref.ln_abs() < math.log(1e-13)
 
     for tau in (10.0, 20.0, 30.0, 40.0, 50.0):
-        for s in eng.t_sweep(rho, tau, [0.3, 0.7]):
-            probe = eng.probe(rho, tau, s.t)
+        for s in eng.sweep([rho], [tau], [0.3, 0.7])[0]:
+            probe = build_probe(K, tau, s.t, rho, cfg.mode())
             ln_scale = tau * (GEOM.r_domain - s.t)
-            energies = trace_energies(probe, GEOM.r_domain, eng.L)
+            energies = trace_energies(K, tau, cfg.mode(), GEOM.r_domain, eng.L)
             assert_close(s.value, reference_indicator_sum(eng, probe, energies, ln_scale))
             trace, _ = cgo_trace(probe, GEOM.r_domain, eng.L, transform)
             assert_close(indicator_value(eng.op_d, eng.op_empty, probe, trace=trace),
@@ -372,10 +396,11 @@ def test_indicator_value_matches_per_degree_sum(problem):
 
 
 def test_indicator_direction_independent_at_high_tau():
-    """For the concentric ball the indicator does not depend on rho; at
-    L = 96, tau = 50 the closed-form energies keep that to roundoff."""
+    """For the concentric ball the indicator does not depend on rho; the
+    engine shares one value per (tau, t) across directions.  The probe-based
+    check of that invariance is `test_trace_energies_match_transform`."""
     cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=96)
     eng = IndicatorEngine(cfg)
     rng = np.random.default_rng(3)
-    lns = [eng.sample(rng.standard_normal(3), 50.0, 0.5).ln_abs for _ in range(16)]
+    lns = [s.ln_abs for [s] in eng.sweep(rng.standard_normal((16, 3)), [50.0], [0.5])]
     assert max(lns) - min(lns) < 1e-10

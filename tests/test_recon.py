@@ -69,8 +69,8 @@ def test_estimate_support_pec_ball():
     cfg = SweepConfig(problem="pec", geometry=Geometry(0.5, 1.0), k=1.0, L=64)
     eng = IndicatorEngine(cfg)
     taus = np.linspace(15.0, 30.0, 8)
-    for rho in directions_axes26()[:4]:
-        est = estimate_support(eng.tau_sweep(rho, 0.0, taus))
+    for sweep in eng.sweep(directions_axes26()[:4], taus, [0.0]):
+        est = estimate_support(sweep)
         assert abs(est.h_hat - 0.5) <= 0.05
 
 
@@ -79,7 +79,7 @@ def test_estimate_support_transmission_ball():
                       k=1.0, medium=Medium(0.5), L=64)
     eng = IndicatorEngine(cfg)
     taus = np.linspace(15.0, 30.0, 8)
-    est = estimate_support(eng.tau_sweep(RHO, 0.0, taus))
+    est = estimate_support(eng.sweep([RHO], taus, [0.0])[0])
     assert abs(est.h_hat - 0.5) <= 0.05
 
 
@@ -89,8 +89,8 @@ def test_monotone_refinement_of_fit_window():
     eng = IndicatorEngine(cfg)
     taus_small = np.linspace(10.0, 24.0, 8)
     taus_big = np.linspace(10.0, 30.0, 11)
-    e1 = estimate_support(eng.tau_sweep(RHO, 0.0, taus_small))
-    e2 = estimate_support(eng.tau_sweep(RHO, 0.0, taus_big))
+    e1 = estimate_support(eng.sweep([RHO], taus_small, [0.0])[0])
+    e2 = estimate_support(eng.sweep([RHO], taus_big, [0.0])[0])
     ci1 = 0.5 * (e1.fit_slope_ci[1] - e1.fit_slope_ci[0])
     assert abs(e2.h_hat - 0.5) <= abs(e1.h_hat - 0.5) + max(ci1, 1e-4)
 
@@ -124,7 +124,7 @@ def test_translated_pipeline_recovers_shifted_support():
     c = np.array([0.2, 0.0, 0.0])
     for rho in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]):
         rho = np.asarray(rho)
-        sweep = synth_translated(eng.tau_sweep(rho, 0.0, taus), c)
+        sweep = synth_translated(eng.sweep([rho], taus, [0.0])[0], c)
         est = estimate_support(sweep)
         want = 0.5 + float(c @ rho)
         assert abs(est.h_hat - want) <= 0.06
@@ -150,8 +150,8 @@ def test_hull_contains_shrunk_truth_ball():
     cfg = SweepConfig(problem="pec", geometry=Geometry(0.5, 1.0), k=1.0, L=64)
     eng = IndicatorEngine(cfg)
     taus = np.linspace(15.0, 30.0, 8)
-    ests = [estimate_support(eng.tau_sweep(rho, 0.0, taus))
-            for rho in directions_axes26()]
+    ests = [estimate_support(sweep)
+            for sweep in eng.sweep(directions_axes26(), taus, [0.0])]
     mesh, report = reconstruct_hull(ests, truth_support=lambda rho: 0.5)
     margin = report["sup_support_error"]
     probes = directions_fibonacci(200)
