@@ -103,8 +103,7 @@ def cmd_sweep(config: RunConfig, out: str) -> int:
 
 def cmd_reconstruct(config: RunConfig, out: str) -> int:
     engine = _engine_for(config)
-    estimates = [estimate_support(samples)
-                 for samples in _direction_samples(config, engine, [0.0])]
+    estimates = estimate_support(_direction_samples(config, engine, [0.0]))
 
     truth = None
     if config.truth_radius is not None:

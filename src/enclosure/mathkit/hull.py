@@ -226,7 +226,10 @@ def halfspace_hull(planes) -> HullMesh:
             raise Infeasible("halfspace intersection is empty")
         raise Unbounded(f"halfspace intersection extends beyond |x| = {half:.3g}")
 
-    used = np.unique(np.fromiter((v for p in polys for v in p), dtype=np.intp))
+    # a mask, not np.unique, which imports numpy.ma on first use
+    used = np.zeros(len(V), dtype=bool)
+    used[np.fromiter((v for p in polys for v in p), dtype=np.intp)] = True
+    used = np.flatnonzero(used)
     remap = np.zeros(len(V), dtype=np.intp)
     remap[used] = np.arange(len(used))
     verts = V[used]

@@ -44,34 +44,47 @@ def _trusted_points(samples, window_frac: float):
     return taus[sel], lnv[sel]
 
 
-def estimate_support(samples, window_frac: float = 0.5,
-                     residual_bound: float = 1.0) -> SupportEstimate:
-    """Support value from a tau sweep at t = 0.
+def estimate_support(directions, window_frac: float = 0.5,
+                     residual_bound: float = 1.0) -> list:
+    """Support values from each direction's tau sweep at t = 0.
 
-    Fits log|I| = a tau + b log tau + c on the trusted top-window samples;
-    h^ = a / 2.  The log tau regressor absorbs the polynomial prefactor at
-    the critical level, which only a lower bound is known for.
+    directions: one list of samples per direction.  Fits log|I| = a tau +
+    b log tau + c on each direction's trusted top-window samples; h^ =
+    a / 2.  The log tau regressor absorbs the polynomial prefactor at the
+    critical level, which only a lower bound is known for.  Directions
+    with the same window share one least-squares solve, one column each.
+    Returns one SupportEstimate per direction, in input order.
     """
-    taus, lnv = _trusted_points(samples, window_frac)
-    X = np.column_stack([taus, np.log(taus), np.ones_like(taus)])
-    coef, *_ = np.linalg.lstsq(X, lnv, rcond=None)
-    resid = lnv - X @ coef
-    n, p = len(taus), 3
-    rms = float(np.sqrt(np.mean(resid**2)))
-    if n > p:
-        sigma2 = float(resid @ resid) / (n - p)
-        cov = sigma2 * np.linalg.inv(X.T @ X)
-        half = 1.96 * math.sqrt(max(cov[0, 0], 0.0))
-    else:
-        half = 0.0
-    if rms > residual_bound:
-        warnings.warn(f"non-monotone tail: fit residual {rms:.3g} exceeds "
-                      f"{residual_bound:.3g}", stacklevel=2)
-    a = float(coef[0])
-    rho = samples[0].rho
-    return SupportEstimate(rho=np.asarray(rho, dtype=float), h_hat=0.5 * a,
-                           fit_slope_ci=(a - half, a + half),
-                           n_points=int(n), residual=rms)
+    points = [_trusted_points(samples, window_frac) for samples in directions]
+    groups = {}                          # window taus -> direction indices
+    for i, (taus, _) in enumerate(points):
+        groups.setdefault(taus.tobytes(), []).append(i)
+
+    estimates = [None] * len(points)
+    for members in groups.values():
+        taus = points[members[0]][0]
+        X = np.column_stack([taus, np.log(taus), np.ones_like(taus)])
+        lnv = np.column_stack([points[i][1] for i in members])
+        coef, *_ = np.linalg.lstsq(X, lnv, rcond=None)
+        n, p = len(taus), 3
+        inv00 = np.linalg.inv(X.T @ X)[0, 0] if n > p else None
+        for j, i in enumerate(members):
+            resid = points[i][1] - X @ coef[:, j]
+            half = 0.0
+            if n > p:
+                sigma2 = float(resid @ resid) / (n - p)
+                half = 1.96 * math.sqrt(max(sigma2 * inv00, 0.0))
+            a = float(coef[0, j])
+            estimates[i] = SupportEstimate(
+                rho=np.asarray(directions[i][0].rho, dtype=float), h_hat=0.5 * a,
+                fit_slope_ci=(a - half, a + half), n_points=int(n),
+                residual=float(np.sqrt(np.mean(resid**2))))
+
+    for e in estimates:
+        if e.residual > residual_bound:
+            warnings.warn(f"non-monotone tail: fit residual {e.residual:.3g} "
+                          f"exceeds {residual_bound:.3g}", stacklevel=2)
+    return estimates
 
 
 def synth_translated(samples, c) -> list:

@@ -196,13 +196,13 @@ def test_criterion_6_support_recovery():
     sweeps_pec = _support_sweeps("pec", None)
     sweeps_trans = _support_sweeps("transmission", Medium(0.5))
 
-    est_pec = [estimate_support(s) for s in sweeps_pec]
-    est_trans = [estimate_support(s) for s in sweeps_trans]
+    est_pec = estimate_support(sweeps_pec)
+    est_trans = estimate_support(sweeps_trans)
     err_pec = max(abs(e.h_hat - 0.5) for e in est_pec)
     err_trans = max(abs(e.h_hat - 0.5) for e in est_trans)
 
     c = np.array([0.2, 0.0, 0.0])
-    est_shift = [estimate_support(synth_translated(s, c)) for s in sweeps_pec]
+    est_shift = estimate_support([synth_translated(s, c) for s in sweeps_pec])
     err_shift = max(abs(e.h_hat - (0.5 + 0.2 * e.rho[0])) for e in est_shift)
 
     mesh, _ = reconstruct_hull(est_pec)

@@ -3,6 +3,7 @@ import pytest
 
 from enclosure.errors import Infeasible, Unbounded
 from enclosure.mathkit import halfspace_hull
+from enclosure.mathkit import hull as hull_module
 from enclosure.recon import directions_axes26, directions_fibonacci
 
 
@@ -200,3 +201,36 @@ def test_zero_thickness_slab_infeasible():
     planes = [(e, 0.0) for e in np.vstack([np.eye(3), -np.eye(3)])]
     with pytest.raises(Infeasible):
         halfspace_hull(planes)
+
+
+# ---------------------------------------------------------------------------
+# vertex compaction: the clipped vertices that some face uses, in index order
+
+
+def _unique_compaction(V, polys):
+    """The used vertices and fan triangles, compacted with np.unique."""
+    used = np.unique(np.fromiter((v for p in polys for v in p), dtype=np.intp))
+    remap = np.zeros(len(V), dtype=np.intp)
+    remap[used] = np.arange(len(used))
+    tris = np.array([(p[0], p[i], p[i + 1]) for p in polys
+                     for i in range(1, len(p) - 1)], dtype=np.intp)
+    return V[used], remap[tris]
+
+
+COMPACTION_CASES = {**ORACLE_CASES,
+                    **{f"random seed={s}": random_polytope(4 + (7 * s) % 97, 100 + s)
+                       for s in range(50)}}
+
+
+@pytest.mark.parametrize("name", list(COMPACTION_CASES))
+def test_vertex_compaction_matches_unique(name, monkeypatch):
+    clips = []
+    clip = hull_module._clip
+    monkeypatch.setattr(hull_module, "_clip",
+                        lambda *a: clips.append(clip(*a)) or clips[-1])
+    mesh = halfspace_hull(COMPACTION_CASES[name])
+    V, polys, _ = clips[-1]
+    assert len(mesh.vertices) < len(V)        # some vertex was dropped
+    verts, faces = _unique_compaction(V, polys)
+    assert np.array_equal(mesh.vertices, verts)
+    assert np.array_equal(mesh.faces, faces)

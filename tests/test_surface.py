@@ -16,6 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import enclosure
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,3 +109,37 @@ def test_child_traced_run_matches_plain_run(tmp_path):
         assert start <= end, name
         if parent >= 0:
             assert spans[parent][2] <= start and end <= spans[parent][3], name
+
+
+# the benchmark's engine mark: wrap `cli._engine_for` as child.py does, and
+# report the modules that `main()` loads after the engine is returned
+_POST_ENGINE = """
+import json, sys
+import enclosure.cli as cli
+build = cli._engine_for
+ready = []
+def engine_for(config):
+    engine = build(config)
+    ready.append(set(sys.modules))
+    return engine
+cli._engine_for = engine_for
+rc = cli.main(sys.argv[1:])
+print(json.dumps([rc, len(ready), sorted(set(sys.modules) - ready[0]),
+                  "numpy.ma" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("config", ["pec_ball", "transmission_ball"])
+@pytest.mark.parametrize("command", ["reconstruct", "sweep"])
+def test_main_imports_nothing_after_the_engine(command, config, tmp_path):
+    """Every module a command needs is loaded before its engine is built,
+    so the engine mark ends all import time; numpy.ma is never loaded."""
+    argv = [command, "--config", str(ROOT / "configs" / f"{config}.json"),
+            "--out", str(tmp_path)]
+    out = subprocess.run([sys.executable, "-c", _POST_ENGINE, *argv],
+                         capture_output=True, text=True, env=_child_env(),
+                         check=True).stdout
+    rc, n_engines, loaded, has_ma = json.loads(out.splitlines()[-1])
+    assert (rc, n_engines) == (0, 1)
+    assert loaded == []
+    assert not has_ma
