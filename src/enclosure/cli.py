@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -37,9 +36,8 @@ _GUARD_ERRORS = (NearEigenvalue, NearInteriorEigenvalue, RadialOverflow,
 
 
 def _fmt(x: float) -> str:
-    """17-significant-digit float serialization (round-trip exact)."""
-    if isinstance(x, float) and math.isinf(x):
-        return "-inf" if x < 0 else "inf"
+    """17-significant-digit float serialization (round-trip exact; "inf",
+    "-inf" and "nan" for the values that are not finite)."""
     return f"{x:.17g}"
 
 
@@ -68,14 +66,20 @@ def _engine_for(config: RunConfig) -> IndicatorEngine:
     return IndicatorEngine(sweep_cfg)
 
 
-def _direction_samples(config: RunConfig, engine: IndicatorEngine, ts):
-    """Each direction's samples ordered by (t, tau), from one engine sweep
-    that computes the trace energies once per tau."""
-    per_direction = engine.sweep(config.directions, config.tau_grid, ts)
+def _indicator_table(config: RunConfig, engine: IndicatorEngine, ts):
+    """The indicator at every (direction, t, tau) of the config, from one
+    engine sweep that computes the trace energies once per tau."""
+    table = engine.sweep(config.directions, config.tau_grid, ts)
     if np.any(config.translation != 0.0):
-        per_direction = [synth_translated(samples, config.translation)
-                         for samples in per_direction]
-    return per_direction
+        table = synth_translated(table, config.translation)
+    return table
+
+
+def _fmt_column(values, shape) -> list:
+    """_fmt of `values` broadcast to `shape`, flattened in C order; each
+    stored entry is formatted once."""
+    strs = np.array([_fmt(x) for x in np.ravel(values).tolist()], dtype=object)
+    return np.broadcast_to(strs.reshape(np.shape(values)), shape).ravel().tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -84,17 +88,19 @@ def _direction_samples(config: RunConfig, engine: IndicatorEngine, ts):
 
 def cmd_sweep(config: RunConfig, out: str) -> int:
     engine = _engine_for(config)
+    table = _indicator_table(config, engine, config.t_grid)
+    shape, rhos = table.shape, table.rhos[:, :, None, None]
+    columns = [_fmt_column(rhos[:, 0], shape), _fmt_column(rhos[:, 1], shape),
+               _fmt_column(rhos[:, 2], shape), _fmt_column(table.taus, shape),
+               _fmt_column(table.ts[:, None], shape),
+               _fmt_column(table.mantissa.real, shape),
+               _fmt_column(table.mantissa.imag, shape),
+               _fmt_column(table.exponent, shape), _fmt_column(table.ln_abs(), shape),
+               _fmt_column(table.tail, shape),
+               np.broadcast_to(np.where(table.trusted, "1", "0"), shape).ravel().tolist()]
     lines = ["rho_x,rho_y,rho_z,tau,t,re_mantissa,im_mantissa,ln_exponent,"
              "log_abs_I,tail,trusted"]
-    for samples in _direction_samples(config, engine, config.t_grid):
-        for s in samples:
-            v = s.value
-            lines.append(",".join([
-                _fmt(s.rho[0]), _fmt(s.rho[1]), _fmt(s.rho[2]),
-                _fmt(s.tau), _fmt(s.t),
-                _fmt(v.mantissa.real), _fmt(v.mantissa.imag), _fmt(v.exponent),
-                _fmt(s.ln_abs), _fmt(s.trace_tail), "1" if s.trusted else "0",
-            ]))
+    lines += map(",".join, zip(*columns))
     _atomic_write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
     print(f"wrote {os.path.join(out, 'sweep.csv')} "
           f"({len(lines) - 1} rows, L={config.degree})")
@@ -103,7 +109,7 @@ def cmd_sweep(config: RunConfig, out: str) -> int:
 
 def cmd_reconstruct(config: RunConfig, out: str) -> int:
     engine = _engine_for(config)
-    estimates = estimate_support(_direction_samples(config, engine, [0.0]))
+    estimates = estimate_support(_indicator_table(config, engine, [0.0]))
 
     truth = None
     if config.truth_radius is not None:
@@ -117,17 +123,15 @@ def cmd_reconstruct(config: RunConfig, out: str) -> int:
 
     est_lines = ["rho_x,rho_y,rho_z,h_hat,ci_lo,ci_hi,residual"]
     for e in estimates:
-        est_lines.append(",".join([
-            _fmt(e.rho[0]), _fmt(e.rho[1]), _fmt(e.rho[2]), _fmt(e.h_hat),
-            _fmt(0.5 * e.fit_slope_ci[0]), _fmt(0.5 * e.fit_slope_ci[1]),
-            _fmt(e.residual)]))
+        est_lines.append(",".join(map(_fmt, [
+            *e.rho.tolist(), e.h_hat, 0.5 * e.fit_slope_ci[0],
+            0.5 * e.fit_slope_ci[1], e.residual])))
     _atomic_write(os.path.join(out, "estimates.csv"), "\n".join(est_lines) + "\n")
 
+    coords = [_fmt(x) for x in mesh.vertices.ravel().tolist()]
     off = [f"OFF\n{len(mesh.vertices)} {len(mesh.faces)} 0"]
-    for v in mesh.vertices:
-        off.append(" ".join(_fmt(float(x)) for x in v))
-    for f in mesh.faces:
-        off.append("3 " + " ".join(str(int(i)) for i in f))
+    off += map(" ".join, zip(coords[0::3], coords[1::3], coords[2::3]))
+    off += [f"3 {a} {b} {c}" for a, b, c in mesh.faces.tolist()]
     _atomic_write(os.path.join(out, "hull.off"), "\n".join(off) + "\n")
 
     rep = [

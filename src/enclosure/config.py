@@ -26,6 +26,17 @@ _DEFAULT_TOLERANCES = {
     "eigen_guard": 1e-10,
 }
 
+# Size caps, checked before any grid or direction array is built: far above
+# every shipped and benchmark config (the largest is 48 directions x 7 taus
+# x 2 ts at L = 96), they stop a count of 1e9 before it ends in an
+# out-of-memory kill.  The byte costs estimate the memory in the message: a
+# sweep row's table entries and CSV text; a degree's radial tables and
+# trace energies.
+MAX_ROWS = 1_000_000           # directions x taus x ts
+MAX_DEGREE = 4096
+_ROW_BYTES = 1024
+_DEGREE_BYTES = 1024
+
 
 @dataclass
 class RunConfig:
@@ -104,6 +115,25 @@ def _grid_values(raw, path, errors):
         return vals
     errors.append(f"{path}: must be a nonempty list or start/stop/count dict")
     return []
+
+
+def _grid_size(raw) -> int:
+    """Values the grid `raw` asks for, read before it is built; 0 for a
+    malformed grid, which `_grid_values` reports."""
+    n = raw.get("count") if isinstance(raw, dict) else len(raw) if isinstance(raw, list) else 0
+    return max(n, 0) if _is_count(n) else 0
+
+
+def _directions_size(raw) -> int:
+    """Directions `raw` asks for, read before they are built; 0 where
+    `_directions` reports an error."""
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if raw is None or kind == "axes26":
+        return 26
+    key = {"fibonacci": "count", "explicit": "vectors"}.get(kind)
+    n = raw.get(key) if key else 0
+    n = len(n) if isinstance(n, list) else n
+    return max(n, 0) if _is_count(n) else 0
 
 
 def _is_vector3(x) -> bool:
@@ -189,23 +219,39 @@ def parse_config(doc: dict) -> RunConfig:
             else:
                 medium = Medium(float(mu_c))
 
-    tau_grid = _grid_values(doc.get("tau_grid"), "tau_grid", errors)
-    if tau_grid and min(tau_grid) <= 0:
-        errors.append("tau_grid: values must be positive")
-    t_grid = _grid_values(doc.get("t_grid"), "t_grid", errors)
-
-    directions = _directions(doc.get("directions"), errors)
+    sizes = (_directions_size(doc.get("directions")),
+             _grid_size(doc.get("tau_grid")), _grid_size(doc.get("t_grid")))
+    rows = sizes[0] * sizes[1] * sizes[2]
+    if rows > MAX_ROWS:
+        errors.append("directions, tau_grid, t_grid: {} x {} x {} = {} rows exceed the "
+                      "cap of {} (about {:.3g} GB)".format(*sizes, rows, MAX_ROWS,
+                                                         rows * _ROW_BYTES / 1e9))
+        tau_grid, t_grid, directions = [], [], directions_axes26()
+    else:
+        tau_grid = _grid_values(doc.get("tau_grid"), "tau_grid", errors)
+        if tau_grid and min(tau_grid) <= 0:
+            errors.append("tau_grid: values must be positive")
+        t_grid = _grid_values(doc.get("t_grid"), "t_grid", errors)
+        directions = _directions(doc.get("directions"), errors)
 
     L = doc.get("truncation_degree")
     if L is not None and (not _is_count(L) or L < 1):
         errors.append("truncation_degree: must be a positive integer or null")
         L = None
+    elif L is not None and L > MAX_DEGREE:
+        errors.append(f"truncation_degree: {L} exceeds the cap of {MAX_DEGREE} "
+                      f"(about {L * _DEGREE_BYTES / 1e9:.3g} GB)")
     elif L is None and tau_grid and geometry is not None:
         try:
-            auto_degree(float(max(tau_grid)), float(k), geometry.r_domain)
+            auto = auto_degree(float(max(tau_grid)), float(k), geometry.r_domain)
         except OverflowError:
             errors.append(f"tau_grid: max tau {max(tau_grid):g} overflows the "
                           "automatic truncation degree; set truncation_degree")
+        else:
+            if auto > MAX_DEGREE:
+                errors.append(f"tau_grid: max tau {max(tau_grid):g} sets the automatic "
+                              f"truncation degree to {auto}, above the cap of "
+                              f"{MAX_DEGREE} (about {auto * _DEGREE_BYTES / 1e9:.3g} GB)")
 
     tol = dict(_DEFAULT_TOLERANCES)
     tol_raw = doc.get("tolerances", {})

@@ -239,11 +239,15 @@ def _guard_eigenvalues(label, guard, scale_te, xi_te_a, scale_tm, dxi_tm_a, L):
             raise NearEigenvalue(f"{label}: {pol} radial determinant ~ 0 at l = {bad[0]}")
 
 
-def _outer_maps(label, guard, L, alpha, beta, psi_a, dpsi_a, chi_a, dchi_a):
+def _outer_maps(label, guard, L, alpha, beta, psi_a, dpsi_a, chi_a, dchi_a,
+                contrast=True):
     """(lam, diff_empty) at r_domain for the outer solution alpha psi + beta chi.
 
-    Raises RadialOverflow when an entry of diff_empty is not finite, which
-    happens once the radial functions leave the double range.
+    Raises RadialOverflow when an entry of diff_empty at l >= 1 is not
+    finite, or, with `contrast` (an obstacle that differs from the
+    background, so no true entry is zero), exactly zero.  Both happen once
+    the radial functions leave the double range; transmission at k = 1,
+    a = 0.5 and mu_contrast 0.5 underflows to 0.0 from l = 75.
     """
     xi_a = alpha * psi_a + beta * chi_a
     dxi_a = alpha * dpsi_a + beta * dchi_a
@@ -262,10 +266,14 @@ def _outer_maps(label, guard, L, alpha, beta, psi_a, dpsi_a, chi_a, dchi_a):
         diff[TE] = np.where(xi_a[TE] != 0, -1j * beta[TE] / (xi_a[TE] * psi_a), 0.0)
         diff[TM] = np.where(dxi_a[TM] != 0, 1j * beta[TM] / (dxi_a[TM] * dpsi_a), 0.0)
     diff[:, 0] = 0.0
-    bad = np.flatnonzero(~np.all(np.isfinite(diff), axis=0))
+    bad = np.flatnonzero(~np.all(np.isfinite(diff), axis=0)
+                         | (contrast & np.any(diff == 0.0, axis=0)))
+    bad = bad[bad >= 1]
     if bad.size:
-        raise RadialOverflow(f"{label}: operator difference not finite at "
-                             f"l = {bad[0]}; lower the truncation degree")
+        te, tm = diff[TE, bad[0]], diff[TM, bad[0]]
+        raise RadialOverflow(f"{label}: operator difference not finite or zero at "
+                             f"l = {bad[0]} (TE {te:.3g}, TM {tm:.3g}); lower the "
+                             "truncation degree")
     return lam, diff
 
 
@@ -354,7 +362,8 @@ def solution_transmission(k: float, geometry: Geometry, medium: Medium, L: int,
         alpha = (dchi_b * rhs1 - chi_b * rhs2) / det
         beta = (psi_b * rhs2 - dpsi_b * rhs1) / det
         lam, diff = _outer_maps("transmission", guard, L, alpha, beta,
-                                psi_a, dpsi_a, chi_a, dchi_a)
+                                psi_a, dpsi_a, chi_a, dchi_a,
+                                contrast=medium.mu_contrast != 0.0)
 
     op = ImpedanceOperator(k=k, r_domain=geometry.r_domain, L=L, lam=lam,
                            diff_empty=diff, label="transmission")

@@ -15,7 +15,6 @@ assemblies live here as independent computation paths.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ from .conventions import POL_U, POL_V, TE, TM
 from .errors import QuadratureUnderResolved, TruncationInsufficient
 from .forward import (FieldSolution, Geometry, ImpedanceOperator, Medium,
                       solution_empty, solution_pec, solution_transmission)
-from .mathkit import ScaledComplex, VshCoeffs, scaled
+from .mathkit import ScaledComplex, VshCoeffs, normalize
 from .mathkit.bessel import riccati_j_logs
 from .mathkit.vsh import VshTransform, get_transform, tail_fraction
 
@@ -39,24 +38,46 @@ def auto_degree(max_tau: float, k: float, r_domain: float) -> int:
     return int(math.ceil(1.5 * math.sqrt(max_tau**2 + k**2) * r_domain)) + 10
 
 
-@dataclass
-class IndicatorSample:
-    rho: np.ndarray
-    tau: float
-    t: float
-    value: ScaledComplex
-    trace_tail: float
-    trusted: bool
+@dataclass(eq=False)
+class IndicatorTable:
+    """I_rho(tau, t) at every (direction, t, tau) of a sweep, as arrays.
+
+    Sample (i, j, k) is mantissa * exp(exponent) at rhos[i], ts[j] and
+    taus[k], with the fields that `mathkit.scaled` gives (exponent 0 for a
+    zero value); `tail` is the trace tail of the sample and `trusted` says
+    that tail is within tolerance.  The sample fields broadcast to `shape`;
+    a field that a source computes once for every direction has length 1
+    on axis 0, as every field of the concentric source does.  A value that
+    is not finite is never trusted, whatever the tail says.
+    """
+
+    rhos: np.ndarray          # (directions, 3)
+    taus: np.ndarray          # (tau,)
+    ts: np.ndarray            # (t,)
+    mantissa: np.ndarray      # complex
+    exponent: np.ndarray
+    tail: np.ndarray
+    trusted: np.ndarray       # bool
 
     def __post_init__(self):
-        # a value that is not finite is never trusted, whatever the tail says
-        v = self.value
-        finite = cmath.isfinite(v.mantissa) and math.isfinite(v.exponent)
-        self.trusted = bool(self.trusted) and finite
+        self.trusted = (np.asarray(self.trusted, dtype=bool)
+                        & np.isfinite(self.mantissa) & np.isfinite(self.exponent))
 
     @property
-    def ln_abs(self) -> float:
-        return self.value.ln_abs()
+    def shape(self) -> tuple:
+        return len(self.rhos), len(self.ts), len(self.taus)
+
+    def ln_abs(self) -> np.ndarray:
+        """ln|I|, -inf for a zero value, broadcastable to `shape`.
+
+        ln|mantissa| is math.log(abs(m)) per entry, the arithmetic of
+        `ScaledComplex.ln_abs`; np.log and np.abs differ from it in the
+        last bit on some values.
+        """
+        m = self.mantissa
+        log_mag = np.reshape([math.log(abs(v)) if v else -math.inf
+                              for v in m.ravel().tolist()], m.shape)
+        return np.where(m == 0, -math.inf, self.exponent + log_mag)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +203,9 @@ def trace_energies(k: float, tau: float, mode: CgoMode, r_domain: float, L: int,
 
 
 def _degree_sum(dlam: np.ndarray, k: float, tau: float, r_domain: float,
-                energies: np.ndarray, ln_scale: float) -> ScaledComplex:
-    """exp(ln_scale) ik tau R^2 sum_l [conj(dlam_TE) U_l - conj(dlam_TM) V_l].
+                energies: np.ndarray, ln_scale: float) -> tuple[complex, float]:
+    """exp(ln_scale) ik tau R^2 sum_l [conj(dlam_TE) U_l - conj(dlam_TM) V_l],
+    as the (mantissa, exponent) fields of a scaled number.
 
     The terms are rescaled by the exact power of two of the largest and
     summed once.
@@ -192,7 +214,7 @@ def _degree_sum(dlam: np.ndarray, k: float, tau: float, r_domain: float,
         np.conj(dlam[TE]) * energies[POL_U] - np.conj(dlam[TM]) * energies[POL_V])
     _, nbits = math.frexp(float(np.max(np.abs(terms))))
     total = complex(np.sum(terms * math.ldexp(1.0, -nbits)))
-    return scaled(total, ln_scale + nbits * _LN2)
+    return normalize(total, ln_scale + nbits * _LN2)
 
 
 def _operator_difference(op_d: ImpedanceOperator, op_empty: ImpedanceOperator):
@@ -217,8 +239,8 @@ def indicator_value(op_d: ImpedanceOperator, op_empty: ImpedanceOperator,
     dlam = _operator_difference(op_d, op_empty)
     if trace is None:
         trace, _ = cgo_trace(probe, op_d.r_domain, op_d.L, tail_tol=tail_tol)
-    return _degree_sum(dlam, probe.k, probe.tau, op_d.r_domain,
-                       trace.degree_energies(), 2.0 * trace.ln_scale)
+    return ScaledComplex(*_degree_sum(dlam, probe.k, probe.tau, op_d.r_domain,
+                                      trace.degree_energies(), 2.0 * trace.ln_scale))
 
 
 # ---------------------------------------------------------------------------
@@ -270,22 +292,26 @@ class IndicatorEngine:
         self.dlam = _operator_difference(self.op_d, self.op_empty)
         self.radial = trace_radial_logs(config.k, self.r_domain, self.L)
 
-    def sweep(self, rhos, taus, ts) -> list[list[IndicatorSample]]:
-        """Each direction's samples ordered by (t, tau).  The concentric
+    def sweep(self, rhos, taus, ts) -> IndicatorTable:
+        """The indicator at every (direction, t, tau).  The concentric
         indicator depends on (tau, t) alone: one set of trace energies per
-        tau and one value per (tau, t), which every direction shares."""
+        tau and one value per (tau, t), computed at shape (1, t, tau) and
+        shared by every direction."""
         cfg, R = self.config, self.r_domain
-        by_tau = []
-        for tau in map(float, taus):
+        taus = np.array(taus, dtype=float)
+        ts = np.array(ts, dtype=float)
+        mantissa = np.empty((1, len(ts), len(taus)), dtype=complex)
+        exponent = np.empty(mantissa.shape)
+        tail = np.empty((1, 1, len(taus)))
+        for k, tau in enumerate(taus.tolist()):
             energies = trace_energies(cfg.k, tau, cfg.mode(), R, self.L, self.radial)
-            by_tau.append((tau, energies, tail_fraction(energies)))
-        cells = [(tau, t, _degree_sum(self.dlam, cfg.k, tau, R, energies,
-                                      2.0 * (tau * (R - t))), tail)
-                 for t in map(float, ts) for tau, energies, tail in by_tau]
-        return [[IndicatorSample(rho=np.asarray(rho, dtype=float), tau=tau, t=t,
-                                 value=value, trace_tail=tail,
-                                 trusted=tail <= cfg.tail_tol)
-                 for tau, t, value, tail in cells] for rho in rhos]
+            tail[0, 0, k] = tail_fraction(energies)
+            for j, t in enumerate(ts.tolist()):
+                mantissa[0, j, k], exponent[0, j, k] = _degree_sum(
+                    self.dlam, cfg.k, tau, R, energies, 2.0 * (tau * (R - t)))
+        return IndicatorTable(rhos=np.asarray(rhos, dtype=float), taus=taus, ts=ts,
+                              mantissa=mantissa, exponent=exponent, tail=tail,
+                              trusted=tail <= cfg.tail_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +418,7 @@ def volume_indicator_transmission(probe: CgoProbe, geometry: Geometry,
                         (1.0 / mu - 1.0) * k * k * theta2, shells, check)
 
 
-__all__ = ["IndicatorSample", "SweepConfig", "IndicatorEngine", "auto_degree",
+__all__ = ["IndicatorTable", "SweepConfig", "IndicatorEngine", "auto_degree",
            "cgo_trace", "trace_energies", "trace_radial_logs",
            "indicator_value",
            "volume_indicator_pec", "volume_indicator_transmission",

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import Infeasible, Unbounded
-from .frames import build_frame
+from .frames import build_frames
 
 _SIDE_TOL = 1e-13          # on-plane tolerance, relative to the cube size B
 _CONE_TOL = 1e-12          # recession-cone test on unit directions
@@ -113,21 +113,27 @@ def _recession_cone_is_zero(rhos: np.ndarray) -> bool:
     return True
 
 
-def _cap(V: np.ndarray, ids: np.ndarray, normal: np.ndarray) -> list:
-    """Vertices `ids` of a convex polygon with normal `normal`, ordered
-    counter-clockwise about it."""
-    frame = build_frame(normal)
-    p = V[ids] - V[ids].mean(axis=0)
-    angle = np.arctan2(p @ frame.rho_cross, p @ frame.rho_perp)
+def _cap(V: np.ndarray, ids: np.ndarray, perp: np.ndarray, cross: np.ndarray) -> list:
+    """Vertices `ids` of a convex polygon, ordered counter-clockwise about
+    the normal whose `build_frames` triad ends in (perp, cross)."""
+    W = V[ids]
+    # np.mean's sum and division, without its per-call overhead
+    p = W - np.add.reduce(W, axis=0) / len(ids)
+    angle = np.arctan2(p @ cross, p @ perp)
     return ids[np.argsort(angle, kind="stable")].tolist()
 
 
-def _clip(rhos: np.ndarray, hs: np.ndarray, half: float):
+def _clip(rhos: np.ndarray, hs: np.ndarray, half: float, frames):
     """Cut the cube [-half, half]^3 by every halfspace in turn.
 
-    Returns (vertices, face polygons, whether a cube face survived), or
-    None when a cut leaves no vertex strictly inside it; the polygons
-    index `vertices` and are counter-clockwise about their outward normals.
+    `frames` is `build_frames(rhos)`.  Returns (vertices, face polygons,
+    whether a cube face survived), or None when a cut leaves no vertex
+    strictly inside it; the polygons index `vertices` and are
+    counter-clockwise about their outward normals.
+
+    Faces are keyed by ids that only grow, so the dict keeps the order a
+    list with deletions and appends would.  `incident[v]` holds the ids of
+    the faces through vertex v, so a plane visits only the faces it cuts.
     """
     tol = _SIDE_TOL * half
     V = np.empty((64, 3))
@@ -135,33 +141,40 @@ def _clip(rhos: np.ndarray, hs: np.ndarray, half: float):
     nv = 8
     live = np.zeros(64, dtype=bool)
     live[:8] = True
-    faces = [list(f) for f in _CUBE_FACES]
-    is_cube = [True] * len(faces)
-    for rho, h in zip(rhos, hs):
+    faces = {f: list(poly) for f, poly in enumerate(_CUBE_FACES)}
+    incident = [{f for f, poly in faces.items() if v in poly} for v in range(8)]
+    next_face = len(faces)
+    for rho, h, perp, cross in zip(rhos, hs, frames[1], frames[2]):
         s = V[:nv] @ rho - h
-        out = (s > tol) & live[:nv]
-        if not out.any():
+        out = s > tol
+        out &= live[:nv]
+        out_ids = out.nonzero()[0]
+        if not len(out_ids):
             continue
-        inside = (s < -tol) & live[:nv]
+        inside = s < -tol
+        inside &= live[:nv]
         if not inside.any():
             return None
-        flat = np.fromiter((v for f in faces for v in f), dtype=np.intp)
-        starts = np.cumsum([0] + [len(f) for f in faces[:-1]])
-        hit = np.flatnonzero(np.maximum.reduceat(out[flat], starts))
+        hit = sorted(set().union(*[incident[v] for v in out_ids.tolist()]))
 
-        side = np.where(out, 1, np.where(inside, -1, 0)).tolist()
+        side = (out.view(np.int8) - inside.view(np.int8)).tolist()
         edges = {}                       # (lo, hi) -> id of the new vertex on it
-        dropped = []
-        for f in hit.tolist():
+        for f in hit:
             poly = faces[f]
-            if not any(side[v] < 0 for v in poly):
-                dropped.append(f)
+            if -1 not in [side[v] for v in poly]:
+                del faces[f]
+                for v in poly:
+                    incident[v].discard(f)
                 continue
             clipped, prev = [], poly[-1]
             for cur in poly:
                 if side[prev] * side[cur] < 0:
                     key = (prev, cur) if prev < cur else (cur, prev)
-                    clipped.append(edges.setdefault(key, nv + len(edges)))
+                    new_id = edges.setdefault(key, nv + len(edges))
+                    if new_id == len(incident):
+                        incident.append(set())
+                    incident[new_id].add(f)
+                    clipped.append(new_id)
                 if side[cur] <= 0:
                     clipped.append(cur)
                 prev = cur
@@ -176,16 +189,17 @@ def _clip(rhos: np.ndarray, hs: np.ndarray, half: float):
             V = np.concatenate([V, np.empty((grow - len(V), 3))])
             live = np.concatenate([live, np.zeros(grow - len(live), dtype=bool)])
         V[nv:nv + len(new)] = new
-        live[:nv] &= ~out
-        on = np.flatnonzero(live[:nv] & ~inside)
+        live[out_ids] = False
+        on = (live[:nv] > inside).nonzero()[0]         # live and on the plane
         live[nv:nv + len(new)] = True
         nv += len(new)
 
-        for f in reversed(dropped):
-            del faces[f], is_cube[f]
-        faces.append(_cap(V, np.concatenate([on, np.arange(nv - len(new), nv)]), rho))
-        is_cube.append(False)
-    return V[:nv], faces, any(is_cube)
+        cap = _cap(V, np.concatenate([on, np.arange(nv - len(new), nv)]), perp, cross)
+        faces[next_face] = cap
+        for v in cap:
+            incident[v].add(next_face)
+        next_face += 1
+    return V[:nv], list(faces.values()), any(f in faces for f in range(len(_CUBE_FACES)))
 
 
 def halfspace_hull(planes) -> HullMesh:
@@ -209,10 +223,11 @@ def halfspace_hull(planes) -> HullMesh:
         raise ValueError("need at least 4 non-degenerate planes")
 
     first = 4.0 * max(1.0, float(np.max(np.abs(hs))))
+    frames = build_frames(rhos)
     cone_checked = False
     for step in range(_MAX_GROWTH_STEPS + 1):
         half = first * _GROWTH**step
-        clipped = _clip(rhos, hs, half)
+        clipped = _clip(rhos, hs, half, frames)
         if clipped is None:
             continue
         V, polys, touches_cube = clipped

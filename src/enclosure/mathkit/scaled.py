@@ -107,13 +107,18 @@ class ScaledComplex:
 
 def scaled(mantissa: complex, exponent: float) -> ScaledComplex:
     """Normalize (mantissa, exponent) into a ScaledComplex."""
+    return ScaledComplex(*normalize(mantissa, exponent))
+
+
+def normalize(mantissa: complex, exponent: float) -> tuple[complex, float]:
+    """The (mantissa, exponent) fields that `scaled` gives, as plain numbers."""
     mag = abs(mantissa)
     if mag == 0.0:
-        return ScaledComplex(0j, 0.0)
+        return 0j, 0.0
     if not math.isfinite(mag):
-        return ScaledComplex(complex(mantissa), float(exponent))
+        return complex(mantissa), float(exponent)
     _, nbits = math.frexp(mag)   # mag = frac * 2**nbits, frac in [0.5, 1)
     if nbits != 0:
         mantissa = mantissa * math.ldexp(1.0, -nbits)
         exponent = exponent + nbits * _LN2
-    return ScaledComplex(complex(mantissa), float(exponent))
+    return complex(mantissa), float(exponent)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InsufficientTrustedSamples
-from .indicator import IndicatorSample
+from .indicator import IndicatorTable
 from .mathkit import halfspace_hull
 
 
@@ -27,58 +27,70 @@ class SupportEstimate:
     residual: float          # rms fit residual in log|I|
 
 
-def _trusted_points(samples, window_frac: float):
-    pts = [(s.tau, s.ln_abs) for s in samples
-           if s.trusted and math.isfinite(s.ln_abs)]
-    if len(pts) < 5:
+def _window(taus: np.ndarray, usable: np.ndarray, window_frac: float) -> np.ndarray:
+    """Sample indices of the fit window: the usable samples whose tau is in
+    the top `window_frac` of their tau range (all of them if that leaves
+    fewer than 3)."""
+    picked = taus[usable]
+    if len(picked) < 5:
         raise InsufficientTrustedSamples(
-            f"need >= 5 trusted finite samples, have {len(pts)}")
-    taus = np.array([p[0] for p in pts])
-    if taus.max() < 2.0 * taus.min():
+            f"need >= 5 trusted finite samples, have {len(picked)}")
+    if picked.max() < 2.0 * picked.min():
         raise InsufficientTrustedSamples("tau range must span a factor >= 2")
-    cut = taus.min() + window_frac * (taus.max() - taus.min())
-    sel = taus >= cut
+    cut = picked.min() + window_frac * (picked.max() - picked.min())
+    sel = picked >= cut
     if sel.sum() < 3:
         sel = np.ones_like(sel, dtype=bool)
-    lnv = np.array([p[1] for p in pts])
-    return taus[sel], lnv[sel]
+    return np.flatnonzero(usable)[sel]
 
 
-def estimate_support(directions, window_frac: float = 0.5,
+def estimate_support(table: IndicatorTable, window_frac: float = 0.5,
                      residual_bound: float = 1.0) -> list:
     """Support values from each direction's tau sweep at t = 0.
 
-    directions: one list of samples per direction.  Fits log|I| = a tau +
-    b log tau + c on each direction's trusted top-window samples; h^ =
+    Each direction's samples are taken in (t, tau) order.  Fits log|I| =
+    a tau + b log tau + c on its trusted, finite top-window samples; h^ =
     a / 2.  The log tau regressor absorbs the polynomial prefactor at the
-    critical level, which only a lower bound is known for.  Directions
-    with the same window share one least-squares solve, one column each.
+    critical level, which only a lower bound is known for.  The window is
+    found once per distinct mask of usable samples, and directions with
+    the same window taus share one least-squares solve, one column each.
     Returns one SupportEstimate per direction, in input order.
     """
-    points = [_trusted_points(samples, window_frac) for samples in directions]
-    groups = {}                          # window taus -> direction indices
-    for i, (taus, _) in enumerate(points):
-        groups.setdefault(taus.tobytes(), []).append(i)
+    n = table.shape[0]
+    taus = np.tile(table.taus, len(table.ts))
+    ln_abs = table.ln_abs()
+    lnv_all = np.broadcast_to(ln_abs, table.shape).reshape(n, -1)
+    usable = np.broadcast_to(table.trusted & np.isfinite(ln_abs),
+                             table.shape).reshape(n, -1)
+    windows = {}                         # usable mask -> window indices
+    cols, groups = [], {}                # window taus -> direction indices
+    for i, row in enumerate(usable):
+        key = row.tobytes()
+        if key not in windows:
+            windows[key] = _window(taus, row, window_frac)
+        cols.append(windows[key])
+        groups.setdefault(taus[cols[i]].tobytes(), []).append(i)
 
-    estimates = [None] * len(points)
+    estimates = [None] * n
     for members in groups.values():
-        taus = points[members[0]][0]
-        X = np.column_stack([taus, np.log(taus), np.ones_like(taus)])
-        lnv = np.column_stack([points[i][1] for i in members])
-        coef, *_ = np.linalg.lstsq(X, lnv, rcond=None)
-        n, p = len(taus), 3
-        inv00 = np.linalg.inv(X.T @ X)[0, 0] if n > p else None
+        t = taus[cols[members[0]]]
+        X = np.column_stack([t, np.log(t), np.ones_like(t)])
+        points = [lnv_all[i, cols[i]] for i in members]
+        coef, *_ = np.linalg.lstsq(X, np.column_stack(points), rcond=None)
+        n_pts, p = len(t), 3
+        inv00 = np.linalg.inv(X.T @ X)[0, 0] if n_pts > p else None
         for j, i in enumerate(members):
-            resid = points[i][1] - X @ coef[:, j]
+            resid = points[j] - X @ coef[:, j]
             half = 0.0
-            if n > p:
-                sigma2 = float(resid @ resid) / (n - p)
+            if n_pts > p:
+                sigma2 = float(resid @ resid) / (n_pts - p)
                 half = 1.96 * math.sqrt(max(sigma2 * inv00, 0.0))
             a = float(coef[0, j])
+            # np.mean's sum and division, without its per-call overhead
+            mean_sq = float(np.add.reduce(resid**2)) / n_pts
             estimates[i] = SupportEstimate(
-                rho=np.asarray(directions[i][0].rho, dtype=float), h_hat=0.5 * a,
-                fit_slope_ci=(a - half, a + half), n_points=int(n),
-                residual=float(np.sqrt(np.mean(resid**2))))
+                rho=table.rhos[i], h_hat=0.5 * a, fit_slope_ci=(a - half, a + half),
+                n_points=int(n_pts), residual=math.sqrt(mean_sq))
 
     for e in estimates:
         if e.residual > residual_bound:
@@ -87,21 +99,19 @@ def estimate_support(directions, window_frac: float = 0.5,
     return estimates
 
 
-def synth_translated(samples, c) -> list:
-    """Indicator samples of the configuration translated by c.
+def synth_translated(table: IndicatorTable, c) -> IndicatorTable:
+    """The indicator table of the configuration translated by c.
 
     Shifting obstacle and domain by c multiplies the CGO trace by
-    exp(i zeta . c), hence the indicator by exp(2 tau c . rho): a pure
-    exponent shift, exact in scaled arithmetic.
+    exp(i zeta . c), hence the indicator by exp(2 tau c . rho): one add of
+    2 tau c . rho to every nonzero value's exponent, exact in scaled
+    arithmetic.
     """
     c = np.asarray(c, dtype=float)
-    out = []
-    for s in samples:
-        shift = 2.0 * s.tau * float(c @ s.rho)
-        out.append(IndicatorSample(rho=s.rho, tau=s.tau, t=s.t,
-                                   value=s.value.scale_exp(shift),
-                                   trace_tail=s.trace_tail, trusted=s.trusted))
-    return out
+    c_rho = np.array([float(c @ rho) for rho in table.rhos])
+    shift = 2.0 * table.taus * c_rho[:, None, None]
+    return replace(table, exponent=np.where(table.mantissa == 0, table.exponent,
+                                            table.exponent + shift))
 
 
 def reconstruct_hull(estimates, truth_support=None):

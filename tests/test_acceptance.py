@@ -162,11 +162,12 @@ def _dichotomy_slopes(problem, medium):
     eng = IndicatorEngine(cfg)
     worst_above = -math.inf     # must stay <= -0.1
     worst_below = math.inf      # must stay >= +0.1
-    for above, below in zip(eng.sweep(DIRS26, TAUS, [0.7]),
-                            eng.sweep(DIRS26, TAUS, [0.3])):
-        assert all(s.trusted for s in above + below)
-        worst_above = max(worst_above, _slope(TAUS, [s.ln_abs for s in above]))
-        worst_below = min(worst_below, _slope(TAUS, [s.ln_abs for s in below]))
+    above, below = eng.sweep(DIRS26, TAUS, [0.7]), eng.sweep(DIRS26, TAUS, [0.3])
+    assert np.all(above.trusted) and np.all(below.trusted)
+    for ln_above, ln_below in zip(np.broadcast_to(above.ln_abs(), above.shape),
+                                  np.broadcast_to(below.ln_abs(), below.shape)):
+        worst_above = max(worst_above, _slope(TAUS, ln_above[0]))
+        worst_below = min(worst_below, _slope(TAUS, ln_below[0]))
     return worst_above, worst_below
 
 
@@ -202,7 +203,7 @@ def test_criterion_6_support_recovery():
     err_trans = max(abs(e.h_hat - 0.5) for e in est_trans)
 
     c = np.array([0.2, 0.0, 0.0])
-    est_shift = estimate_support([synth_translated(s, c) for s in sweeps_pec])
+    est_shift = estimate_support(synth_translated(sweeps_pec, c))
     err_shift = max(abs(e.h_hat - (0.5 + 0.2 * e.rho[0])) for e in est_shift)
 
     mesh, _ = reconstruct_hull(est_pec)

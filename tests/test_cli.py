@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from enclosure import indicator
 from enclosure.cli import main
 from enclosure.mathkit import vsh
-from enclosure.config import load_config
+from enclosure.config import MAX_ROWS, load_config
 
 BASE = {
     "problem": "pec",
@@ -109,6 +110,67 @@ def test_invalid_configs_exit_2(tmp_path, capsys, label, doc, needle):
     assert rc == 2
     err = capsys.readouterr().err
     assert needle in err
+
+
+CAPPED_CONFIGS = [
+    ("tau count 1e9", dict(BASE, tau_grid={"start": 6.0, "stop": 12.0,
+                                           "count": 10**9}), "rows exceed the cap"),
+    ("fibonacci count 1e9", dict(BASE, directions={"kind": "fibonacci",
+                                                   "count": 10**9}), "rows exceed the cap"),
+    ("rows of three axes", dict(BASE, directions={"kind": "fibonacci", "count": 2000},
+                                tau_grid={"start": 6.0, "stop": 12.0, "count": 1000},
+                                t_grid={"start": 0.1, "stop": 0.9, "count": 1000}),
+     "2000 x 1000 x 1000 = 2000000000 rows exceed the cap"),
+    ("degree 1e9", dict(BASE, truncation_degree=10**9),
+     "truncation_degree: 1000000000 exceeds the cap"),
+    ("auto degree 1e9", dict(BASE, tau_grid={"start": 6.0, "stop": 1e9, "count": 5},
+                             truncation_degree=None), "automatic truncation degree"),
+]
+
+
+@pytest.mark.parametrize("label,doc,needle", CAPPED_CONFIGS,
+                         ids=[c[0] for c in CAPPED_CONFIGS])
+def test_size_caps_exit_2_before_allocating(tmp_path, capsys, label, doc, needle):
+    """A size far past a cap ends in exit 2 with one line that estimates
+    the memory the run would need, before any grid is built."""
+    path = write_config(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        rc = main(["validate", "--config", path])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert needle in err and " GB)" in err and len(err.strip().splitlines()) == 1
+    assert peak < 1 << 20
+
+
+def test_size_caps_admit_the_largest_configs(tmp_path, capsys):
+    """The benchmark's largest run (48 directions x 7 taus x 2 ts at
+    L = 96) validates, and the row cap itself is inclusive."""
+    fine = dict(BASE, directions={"kind": "fibonacci", "count": 48},
+                tau_grid={"start": 12.5, "stop": 50.0, "count": 7}, truncation_degree=96)
+    assert main(["validate", "--config", write_config(tmp_path, fine)]) == 0
+    n_tau = MAX_ROWS // (500 * 2)
+    at_cap = dict(BASE, directions={"kind": "fibonacci", "count": 500},
+                  tau_grid={"start": 6.0, "stop": 12.0, "count": n_tau})
+    assert 500 * n_tau * 2 == MAX_ROWS
+    assert main(["validate", "--config", write_config(tmp_path, at_cap)]) == 0
+    at_cap["directions"] = {"kind": "fibonacci", "count": 501}
+    assert main(["validate", "--config", write_config(tmp_path, at_cap)]) == 2
+    capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(indicator.__file__))
+    root = os.path.dirname(src)
+    res = subprocess.run([sys.executable, "-m", "enclosure", "validate", "--config",
+                          os.path.join(root, "configs", "pec_ball.json")],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["n_directions"] == 26
 
 
 def test_validate_missing_file(capsys):

@@ -171,6 +171,22 @@ def test_near_eigenvalue_guard():
         solution_empty(k_eig, 1.0, 4)
 
 
+def test_operator_difference_never_underflows_silently():
+    """Transmission at k = 1, a = 0.5, mu_contrast 0.5: the product behind
+    diff_empty underflows to exactly 0.0 from l = 75, where the true entry
+    is about 1e-44.  Every degree the guard lets through is nonzero and
+    finite; from L = 75 the guard trips at l = 75."""
+    geom, medium = Geometry(0.5, 1.0), Medium(0.5)
+    diff = solution_transmission(1.0, geom, medium, 74).operator.diff_empty
+    assert np.all(np.isfinite(diff)) and np.all(diff[:, 1:] != 0.0)
+    for L in (75, 80):
+        with pytest.raises(RadialOverflow, match="not finite or zero at l = 75 "):
+            solution_transmission(1.0, geom, medium, L)
+    # PEC at the benchmark's degree is far from the edge (smallest entry 1.6e-60)
+    diff = solution_pec(1.0, geom, 96).operator.diff_empty
+    assert np.all(diff[:, 1:] != 0.0) and np.min(np.abs(diff[:, 1:])) > 1e-70
+
+
 def test_guard_rejects_non_finite_determinants():
     """A NaN fails every comparison, so finiteness is checked on its own."""
     ones = np.ones(4)

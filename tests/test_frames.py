@@ -3,6 +3,7 @@ import pytest
 
 from enclosure.errors import ZeroVector
 from enclosure.mathkit import build_frame, cross3
+from enclosure.mathkit.frames import build_frames
 
 
 def _orthonormality_defect(frame):
@@ -69,3 +70,26 @@ def test_cross3_is_np_cross_bit_for_bit(kinds):
         got = cross3(a, b)
         assert got.dtype == ref.dtype
         assert np.array_equal(got.view(float), ref.view(float))
+
+
+def _reference_frame(rho):
+    """build_frame as first written: one vector, np.linalg.norm, np.cross."""
+    rho = np.asarray(rho, dtype=float)
+    rho = rho / float(np.linalg.norm(rho))
+    axis = np.eye(3)[int(np.argmin(np.abs(rho)))]
+    perp = np.cross(axis, rho)
+    perp /= np.linalg.norm(perp)
+    return rho, perp, np.cross(rho, perp)
+
+
+def test_build_frames_match_the_one_vector_rule_bit_for_bit():
+    """The batched triads equal the one-vector rule, signed zeros included:
+    random vectors, the axes and ties of the least-aligned axis."""
+    rng = np.random.default_rng(9)
+    rows = np.vstack([rng.standard_normal((2000, 3)) * 10.0 ** rng.integers(-3, 4, (2000, 1)),
+                      np.eye(3), -np.eye(3), [[1.0, 1.0, 0.0], [0.0, -0.0, 1.0],
+                                              [-2.0, 2.0, 2.0], [1e-3, 0.0, 0.0]]])
+    got = build_frames(rows)
+    for i, v in enumerate(rows):
+        for a, b in zip((g[i] for g in got), _reference_frame(v)):
+            assert a.tobytes() == b.tobytes()

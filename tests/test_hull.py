@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from enclosure.errors import Infeasible, Unbounded
-from enclosure.mathkit import halfspace_hull
+from enclosure.mathkit import build_frame, halfspace_hull
 from enclosure.mathkit import hull as hull_module
 from enclosure.recon import directions_axes26, directions_fibonacci
 
@@ -149,6 +149,10 @@ ORACLE_CASES = {
     "duplicated plane": _box([-1, -1, -1], [1, 1, 1]) + [(np.array([0, 0, 2.0]), 2.0)],
     "redundant plane": _box([-1, -1, -1], [1, 1, 1]) + [(np.array([1.0, 1, 1]), 5.0)],
     "translated box": _box([2.5, -3.0, 0.25], [3.5, -1.0, 0.75]),
+    # a cut through three cube corners: the corner it removes has no edge
+    # that crosses the plane, so the cut makes no new vertex
+    "corner cut through vertices": (_box([-1, -1, -1], [1, 1, 1])
+                                    + [(np.ones(3), 1.0)]),
     # a wedge from x = 1 back to its apex at x = -20, beyond the first cube
     "long wedge": [(np.array([-0.05, 1, 0]), 1.0), (np.array([-0.05, -1, 0]), 1.0),
                    (np.array([1.0, 0, 0]), 1.0), (np.array([0, 0, 1.0]), 1.0),
@@ -234,3 +238,90 @@ def test_vertex_compaction_matches_unique(name, monkeypatch):
     verts, faces = _unique_compaction(V, polys)
     assert np.array_equal(mesh.vertices, verts)
     assert np.array_equal(mesh.faces, faces)
+
+
+# ---------------------------------------------------------------------------
+# the clipper against its first, list-based form
+
+
+def _reference_clip(rhos, hs, half):
+    """The clipper as first written: faces in a list, every face flattened
+    on every plane to find the cut ones, one `build_frame` per cap."""
+    tol = hull_module._SIDE_TOL * half
+    V = np.empty((64, 3))
+    V[:8] = half * hull_module._CUBE
+    nv = 8
+    live = np.zeros(64, dtype=bool)
+    live[:8] = True
+    faces = [list(f) for f in hull_module._CUBE_FACES]
+    is_cube = [True] * len(faces)
+    for rho, h in zip(rhos, hs):
+        s = V[:nv] @ rho - h
+        out = (s > tol) & live[:nv]
+        if not out.any():
+            continue
+        inside = (s < -tol) & live[:nv]
+        if not inside.any():
+            return None
+        flat = np.fromiter((v for f in faces for v in f), dtype=np.intp)
+        starts = np.cumsum([0] + [len(f) for f in faces[:-1]])
+        hit = np.flatnonzero(np.maximum.reduceat(out[flat], starts))
+        side = np.where(out, 1, np.where(inside, -1, 0)).tolist()
+        edges, dropped = {}, []
+        for f in hit.tolist():
+            poly = faces[f]
+            if not any(side[v] < 0 for v in poly):
+                dropped.append(f)
+                continue
+            clipped, prev = [], poly[-1]
+            for cur in poly:
+                if side[prev] * side[cur] < 0:
+                    key = (prev, cur) if prev < cur else (cur, prev)
+                    clipped.append(edges.setdefault(key, nv + len(edges)))
+                if side[cur] <= 0:
+                    clipped.append(cur)
+                prev = cur
+            faces[f] = clipped
+        lo, hi = np.array(list(edges), dtype=np.intp).reshape(-1, 2).T
+        frac = s[lo] / (s[lo] - s[hi])
+        new = V[lo] + frac[:, None] * (V[hi] - V[lo])
+        if nv + len(new) > len(V):
+            grow = max(2 * len(V), nv + len(new))
+            V = np.concatenate([V, np.empty((grow - len(V), 3))])
+            live = np.concatenate([live, np.zeros(grow - len(live), dtype=bool)])
+        V[nv:nv + len(new)] = new
+        live[:nv] &= ~out
+        on = np.flatnonzero(live[:nv] & ~inside)
+        live[nv:nv + len(new)] = True
+        nv += len(new)
+        for f in reversed(dropped):
+            del faces[f], is_cube[f]
+        ids = np.concatenate([on, np.arange(nv - len(new), nv)])
+        frame = build_frame(rho)
+        p = V[ids] - V[ids].mean(axis=0)
+        angle = np.arctan2(p @ frame.rho_cross, p @ frame.rho_perp)
+        faces.append(ids[np.argsort(angle, kind="stable")].tolist())
+        is_cube.append(False)
+    return V[:nv], faces, any(is_cube)
+
+
+REFERENCE_CASES = {**COMPACTION_CASES,
+                   "fibonacci 400": [(d, 0.5) for d in directions_fibonacci(400)]}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CASES))
+def test_clipper_matches_reference_bit_for_bit(name, monkeypatch):
+    """Every cut the hull makes, growth steps included, gives the list-based
+    clipper's vertices bit for bit and its face polygons in its order."""
+    calls = []
+    clip = hull_module._clip
+    monkeypatch.setattr(hull_module, "_clip", lambda *a: calls.append(a) or clip(*a))
+    halfspace_hull(REFERENCE_CASES[name])
+    assert calls
+    for rhos, hs, half, frames in calls:
+        got, want = clip(rhos, hs, half, frames), _reference_clip(rhos, hs, half)
+        if want is None:
+            assert got is None
+            continue
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]

@@ -9,13 +9,14 @@ from enclosure.conventions import POL_U, POL_V, TE, TM
 from enclosure.errors import TruncationInsufficient
 from enclosure.forward import (Geometry, Medium, solution_empty, solution_pec,
                                solution_transmission)
-from enclosure.indicator import (IndicatorEngine, IndicatorSample, SweepConfig,
+from enclosure.indicator import (IndicatorEngine, IndicatorTable, SweepConfig,
                                  _legendre_derivatives, _trace_weights,
                                  auto_degree,
                                  cgo_trace, indicator_value, trace_energies,
                                  volume_indicator_pec,
                                  volume_indicator_transmission)
 from enclosure.mathkit import ScaledComplex, cross3, get_transform, scaled
+from enclosure.recon import synth_translated
 
 K = 1.0
 GEOM = Geometry(0.5, 1.0)
@@ -299,8 +300,7 @@ def test_indicator_truncation_invariance():
 def test_t_sweep_is_affine_in_t():
     cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=40)
     eng = IndicatorEngine(cfg)
-    [samples] = eng.sweep([RHO], [12.0], [0.0, 0.25, 0.5, 0.75, 1.0])
-    lns = np.array([s.ln_abs for s in samples])
+    lns = eng.sweep([RHO], [12.0], [0.0, 0.25, 0.5, 0.75, 1.0]).ln_abs()[0, :, 0]
     slopes = np.diff(lns) / 0.25
     assert np.max(np.abs(slopes + 2.0 * 12.0)) < 1e-9
 
@@ -309,10 +309,8 @@ def test_tau_sweep_dichotomy_signs():
     cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=56)
     taus = [10.0, 14.0, 18.0, 22.0, 26.0]
     eng = IndicatorEngine(cfg)
-    [above] = eng.sweep([RHO], taus, [0.7])
-    [below] = eng.sweep([RHO], taus, [0.3])
-    d_above = np.diff([s.ln_abs for s in above])
-    d_below = np.diff([s.ln_abs for s in below])
+    d_above = np.diff(eng.sweep([RHO], taus, [0.7]).ln_abs()[0, 0])
+    d_below = np.diff(eng.sweep([RHO], taus, [0.3]).ln_abs()[0, 0])
     assert np.all(d_above < 0)          # decay above the support level
     assert np.all(d_below > 0)          # growth below it
 
@@ -322,8 +320,7 @@ def test_slope_sign_stability_near_support():
     taus = np.linspace(10.0, 30.0, 9)
     eng = IndicatorEngine(cfg)
     for t, sign in ((0.6, -1.0), (0.4, +1.0)):
-        [sweep] = eng.sweep([RHO], taus, [t])
-        lns = np.array([s.ln_abs for s in sweep])
+        lns = eng.sweep([RHO], taus, [t]).ln_abs()[0, 0]
         slopes = np.diff(lns) / np.diff(taus)
         assert np.all(np.sign(slopes) == sign), (t, slopes)
 
@@ -331,29 +328,77 @@ def test_slope_sign_stability_near_support():
 def test_engine_trust_diagnostics():
     cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=40)
     eng = IndicatorEngine(cfg)
-    [[s, s2]] = eng.sweep([RHO], [10.0, 40.0], [0.0])   # 40 is far beyond L=40
-    assert s.trusted and s.trace_tail < 1e-8
-    assert not s2.trusted
+    table = eng.sweep([RHO], [10.0, 40.0], [0.0])   # 40 is far beyond L=40
+    assert table.trusted[0, 0, 0] and table.tail[0, 0, 0] < 1e-8
+    assert not table.trusted[0, 0, 1]
 
 
-@pytest.mark.parametrize("value", [ScaledComplex(complex(math.nan, 1.0), 0.0),
-                                   ScaledComplex(1.0 + 0j, math.inf),
-                                   ScaledComplex(1.0 + 0j, math.nan)],
+def _table(mantissa, exponent, trusted=True, rhos=(RHO, -RHO)):
+    """A table of two directions at one (t, tau) cell per given value."""
+    shape = (1, 1, np.size(mantissa))
+    return IndicatorTable(rhos=np.array(rhos), taus=10.0 + np.arange(shape[2]),
+                          ts=np.zeros(1), mantissa=np.reshape(mantissa, shape),
+                          exponent=np.reshape(exponent, shape),
+                          tail=np.zeros(shape), trusted=trusted)
+
+
+@pytest.mark.parametrize("value", [(complex(math.nan, 1.0), 0.0),
+                                   (1.0 + 0j, math.inf),
+                                   (1.0 + 0j, math.nan)],
                          ids=["nan mantissa", "inf exponent", "nan exponent"])
 def test_non_finite_value_is_never_trusted(value):
-    s = IndicatorSample(rho=RHO, tau=10.0, t=0.0, value=value, trace_tail=0.0,
-                        trusted=True)
-    assert not s.trusted
-    ok = IndicatorSample(rho=RHO, tau=10.0, t=0.0, value=scaled(0.5 + 0.5j, 700.0),
-                         trace_tail=0.0, trusted=True)
-    assert ok.trusted
+    """The table's rule, entry by entry: a value that is not finite is
+    never trusted, whatever the tail says; a finite one keeps its flag."""
+    ok = (0.5 + 0.5j, 700.0)
+    table = _table([value[0], ok[0], ok[0]], [value[1], ok[1], ok[1]],
+                   trusted=[True, True, False])
+    assert table.trusted.tolist() == [[[False, True, False]]]
+    # a translation re-applies the rule to the exponent it shifts
+    shifted = synth_translated(_table(ok[0], ok[1]), [0.0, 0.0, math.inf])
+    assert np.broadcast_to(shifted.trusted, shifted.shape).tolist() == [[[False]], [[False]]]
+
+
+def test_ln_abs_is_the_scalar_arithmetic_of_scaled_complex():
+    """ln|I| per entry is `ScaledComplex.ln_abs` bit for bit; np.log and
+    np.abs on complex values differ from it in the last bit."""
+    rng = np.random.default_rng(11)
+    m = rng.uniform(0.5, 2.0, 400) * np.exp(1j * rng.uniform(-np.pi, np.pi, 400))
+    e = rng.uniform(-50.0, 50.0, 400)
+    table = _table(m, e)
+    want = [ScaledComplex(complex(a), float(b)).ln_abs() for a, b in zip(m, e)]
+    assert table.ln_abs().ravel().tolist() == want
 
 
 def test_empty_problem_sweeps_to_zero():
+    """No obstacle: every value is the exact zero (mantissa 0, exponent 0)
+    and ln|I| is the -inf sentinel, on every direction."""
     cfg = SweepConfig(problem="empty", geometry=GEOM, k=K, L=24)
-    [sweep] = IndicatorEngine(cfg).sweep([RHO], [5.0, 6.0], [0.5])
-    assert all(s.value.is_zero for s in sweep)
-    assert all(s.ln_abs == -math.inf for s in sweep)
+    table = IndicatorEngine(cfg).sweep([RHO, -RHO], [5.0, 6.0], [0.5, 0.7])
+    assert np.all(table.mantissa == 0) and np.all(table.exponent == 0.0)
+    ln = np.broadcast_to(table.ln_abs(), table.shape)
+    assert ln.shape == (2, 2, 2) and np.all(ln == -math.inf)
+    # a translation leaves the zeros as they are
+    shifted = synth_translated(table, [0.3, 0.0, 0.2])
+    assert np.all(shifted.exponent == 0.0) and np.all(shifted.ln_abs() == -math.inf)
+
+
+def test_translation_shifts_each_exponent_by_the_scalar_product():
+    """The exponent shift is 2 tau float(c @ rho), bit for bit, per
+    direction: the arithmetic of a one-sample translation."""
+    cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=48)
+    rng = np.random.default_rng(2)
+    rhos = rng.standard_normal((12, 3))
+    rhos /= np.linalg.norm(rhos, axis=1)[:, None]
+    taus, c = [10.0, 12.5, 17.25, 30.0], rng.uniform(-0.2, 0.2, 3)
+    table = IndicatorEngine(cfg).sweep(rhos, taus, [0.3, 0.7])
+    shifted = synth_translated(table, c)
+    assert shifted.exponent.shape == table.shape
+    assert np.array_equal(shifted.mantissa, table.mantissa)
+    for i, rho in enumerate(rhos):
+        for j in range(2):
+            for k, tau in enumerate(taus):
+                want = table.exponent[0, j, k] + 2.0 * tau * float(c @ rho)
+                assert shifted.exponent[i, j, k] == want
 
 
 def reference_indicator_sum(engine, probe, energies, ln_scale):
@@ -384,11 +429,14 @@ def test_indicator_value_matches_per_degree_sum(problem):
         assert diff.is_zero or diff.ln_abs() - ref.ln_abs() < math.log(1e-13)
 
     for tau in (10.0, 20.0, 30.0, 40.0, 50.0):
-        for s in eng.sweep([rho], [tau], [0.3, 0.7])[0]:
-            probe = build_probe(K, tau, s.t, rho, cfg.mode())
-            ln_scale = tau * (GEOM.r_domain - s.t)
+        table = eng.sweep([rho], [tau], [0.3, 0.7])
+        for j, t in enumerate(table.ts):
+            value = ScaledComplex(complex(table.mantissa[0, j, 0]),
+                                  float(table.exponent[0, j, 0]))
+            probe = build_probe(K, tau, t, rho, cfg.mode())
+            ln_scale = tau * (GEOM.r_domain - t)
             energies = trace_energies(K, tau, cfg.mode(), GEOM.r_domain, eng.L)
-            assert_close(s.value, reference_indicator_sum(eng, probe, energies, ln_scale))
+            assert_close(value, reference_indicator_sum(eng, probe, energies, ln_scale))
             trace, _ = cgo_trace(probe, GEOM.r_domain, eng.L, transform)
             assert_close(indicator_value(eng.op_d, eng.op_empty, probe, trace=trace),
                          reference_indicator_sum(eng, probe, trace.degree_energies(),
@@ -402,5 +450,6 @@ def test_indicator_direction_independent_at_high_tau():
     cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=96)
     eng = IndicatorEngine(cfg)
     rng = np.random.default_rng(3)
-    lns = [s.ln_abs for [s] in eng.sweep(rng.standard_normal((16, 3)), [50.0], [0.5])]
-    assert max(lns) - min(lns) < 1e-10
+    table = eng.sweep(rng.standard_normal((16, 3)), [50.0], [0.5])
+    lns = np.broadcast_to(table.ln_abs(), table.shape)
+    assert lns.shape == (16, 1, 1) and np.ptp(lns) < 1e-10

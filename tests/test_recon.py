@@ -6,8 +6,7 @@ import pytest
 
 from enclosure.errors import InsufficientTrustedSamples
 from enclosure.forward import Geometry, Medium
-from enclosure.indicator import IndicatorEngine, IndicatorSample, SweepConfig
-from enclosure.mathkit import scaled
+from enclosure.indicator import IndicatorEngine, IndicatorTable, SweepConfig
 from enclosure.recon import (directions_axes26, directions_fibonacci,
                              estimate_support, reconstruct_hull,
                              synth_translated)
@@ -16,35 +15,55 @@ RHO = np.array([0.0, 0.0, 1.0])
 
 
 def synthetic_sweep(fn, taus=np.linspace(10.0, 30.0, 11), rho=RHO):
-    return [IndicatorSample(rho=rho, tau=float(t), t=0.0,
-                            value=scaled(1.0, fn(float(t))),
-                            trace_tail=0.0, trusted=True)
-            for t in taus]
+    """One direction's samples at t = 0: {tau: ln|I|} with ln|I| = fn(tau)."""
+    return rho, {float(t): fn(float(t)) for t in taus}
+
+
+def synthetic_table(*sweeps):
+    """The table of `synthetic_sweep` directions (mantissa 1, exponent
+    ln|I|) on the union of their taus; a direction is untrusted at a tau
+    it lacks."""
+    taus = sorted(set().union(*(lns for _, lns in sweeps)))
+    exponent = [[[lns.get(t, 0.0) for t in taus]] for _, lns in sweeps]
+    trusted = [[[t in lns for t in taus]] for _, lns in sweeps]
+    return IndicatorTable(rhos=np.array([rho for rho, _ in sweeps]), taus=np.array(taus),
+                          ts=np.zeros(1), mantissa=np.ones((1, 1, len(taus)), dtype=complex),
+                          exponent=np.array(exponent), tail=np.zeros((1, 1, len(taus))),
+                          trusted=np.array(trusted))
 
 
 # ---------------------------------------------------------------------------
-# sample selection (_trusted_points, behind estimate_support)
+# sample selection (_window, behind estimate_support)
 
 
 def test_classify_needs_enough_samples():
     sweep = synthetic_sweep(lambda tau: -tau, taus=[10.0, 12.0, 30.0])
     with pytest.raises(InsufficientTrustedSamples):
-        estimate_support([sweep])
+        estimate_support(synthetic_table(sweep))
 
 
 def test_classify_needs_tau_span():
     sweep = synthetic_sweep(lambda tau: -tau, taus=np.linspace(10, 15, 8))
     with pytest.raises(InsufficientTrustedSamples):
-        estimate_support([sweep])
+        estimate_support(synthetic_table(sweep))
 
 
 def test_classify_ignores_untrusted():
-    sweep = synthetic_sweep(lambda tau: -2.0 * tau)
-    for s in sweep[::2]:
-        s.trusted = False
-        s.value = s.value.scale_exp(100.0)    # would bend the fit if used
-    [est] = estimate_support([sweep])
+    table = synthetic_table(synthetic_sweep(lambda tau: -2.0 * tau))
+    table.trusted[..., ::2] = False
+    table.exponent[..., ::2] += 100.0         # would bend the fit if used
+    [est] = estimate_support(table)
     assert est.n_points == 3
+    assert abs(est.h_hat + 1.0) < 1e-12
+
+
+def test_classify_ignores_values_that_are_not_finite():
+    table = synthetic_table(synthetic_sweep(lambda tau: -2.0 * tau))
+    table.mantissa = np.ones_like(table.mantissa)
+    table.mantissa[..., 0] = 0.0                # ln|I| = -inf, yet trusted
+    assert table.trusted[0, 0, 0]
+    [est] = estimate_support(table)
+    assert est.n_points == 5
     assert abs(est.h_hat + 1.0) < 1e-12
 
 
@@ -54,14 +73,14 @@ def test_classify_ignores_untrusted():
 
 def test_planted_slope_with_log_correction():
     sweep = synthetic_sweep(lambda tau: 2.0 * tau * 0.5 + 0.3 * math.log(tau) + 1.0)
-    [est] = estimate_support([sweep])
+    [est] = estimate_support(synthetic_table(sweep))
     assert abs(est.h_hat - 0.5) < 0.01
     assert est.residual < 1e-10       # the model matches exactly
 
 
 def test_planted_affine_recovered_exactly():
     sweep = synthetic_sweep(lambda tau: -1.2 * tau + 0.7)
-    [est] = estimate_support([sweep])
+    [est] = estimate_support(synthetic_table(sweep))
     assert abs(est.h_hat + 0.6) < 1e-12
     assert est.residual < 1e-12
 
@@ -111,27 +130,27 @@ def _mixed_windows():
         rho = rng.standard_normal(3)
         h, b, c = rng.uniform(-1.0, 1.0, 3)
         wiggle = 0.01 * (i + 1)
-        sweep = synthetic_sweep(
-            lambda tau: 2.0 * h * tau + b * math.log(tau) + c + wiggle * math.sin(tau),
-            taus=sparse if i == 5 else grid, rho=rho / np.linalg.norm(rho))
+        taus = sparse if i == 5 else grid
         if drop is not None:
-            sweep[drop].trusted = False
-        directions.append(sweep)
+            taus = np.delete(taus, drop)
+        directions.append(synthetic_sweep(
+            lambda tau: 2.0 * h * tau + b * math.log(tau) + c + wiggle * math.sin(tau),
+            taus=taus, rho=rho / np.linalg.norm(rho)))
     return directions
 
 
 def test_batched_fit_matches_one_direction_fits(monkeypatch):
     directions = _mixed_windows()
-    singles = [estimate_support([d])[0] for d in directions]
+    singles = [estimate_support(synthetic_table(d))[0] for d in directions]
     solves = []
     lstsq = np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq",
                         lambda *a, **k: solves.append(1) or lstsq(*a, **k))
-    batched = estimate_support(directions)
+    batched = estimate_support(synthetic_table(*directions))
     assert len(solves) == 4
     assert len(batched) == len(directions)
     for one, many, d in zip(singles, batched, directions):
-        assert np.array_equal(many.rho, d[0].rho)
+        assert np.array_equal(many.rho, d[0])
         assert many.h_hat == one.h_hat
         assert many.fit_slope_ci == one.fit_slope_ci
         assert many.residual == one.residual
@@ -144,10 +163,10 @@ def test_batched_fit_raises_at_first_failing_direction():
     narrow = synthetic_sweep(lambda tau: -tau, taus=np.linspace(10, 15, 8))
     sparse = synthetic_sweep(lambda tau: -tau, taus=[10.0, 12.0, 30.0])
     with pytest.raises(InsufficientTrustedSamples) as exc:
-        estimate_support([good, narrow, good, sparse])
+        estimate_support(synthetic_table(good, narrow, good, sparse))
     assert str(exc.value) == "tau range must span a factor >= 2"
     with pytest.raises(InsufficientTrustedSamples) as exc:
-        estimate_support([good, sparse, narrow])
+        estimate_support(synthetic_table(good, sparse, narrow))
     assert str(exc.value) == "need >= 5 trusted finite samples, have 3"
 
 
@@ -159,7 +178,7 @@ def test_batched_fit_warns_in_direction_order():
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for batch in batches:
-                estimate_support(batch, residual_bound=1e-6)
+                estimate_support(synthetic_table(*batch), residual_bound=1e-6)
         return [str(w.message) for w in caught]
 
     batched = messages([directions])
@@ -173,20 +192,18 @@ def test_batched_fit_warns_in_direction_order():
 
 
 def test_synth_translated_identity_at_zero():
-    sweep = synthetic_sweep(lambda tau: -tau)
-    out = synth_translated(sweep, np.zeros(3))
-    for a, b in zip(sweep, out):
-        assert a.value.mantissa == b.value.mantissa
-        assert a.value.exponent == b.value.exponent
+    table = synthetic_table(synthetic_sweep(lambda tau: -tau))
+    out = synth_translated(table, np.zeros(3))
+    assert np.array_equal(out.mantissa, table.mantissa)
+    assert np.array_equal(out.exponent, table.exponent)
 
 
 def test_translation_equivariance_of_estimate():
     """estimate(synth_translated) = estimate + c . rho, exactly."""
-    sweep = synthetic_sweep(lambda tau: 2.0 * 0.5 * tau + 0.2 * math.log(tau))
+    table = synthetic_table(synthetic_sweep(lambda tau: 2.0 * 0.5 * tau + 0.2 * math.log(tau)))
     c = np.array([0.3, -0.1, 0.25])
-    shifted = synth_translated(sweep, c)
-    [e0] = estimate_support([sweep])
-    [e1] = estimate_support([shifted])
+    [e0] = estimate_support(table)
+    [e1] = estimate_support(synth_translated(table, c))
     assert abs(e1.h_hat - (e0.h_hat + c @ RHO)) < 1e-12
 
 
@@ -197,8 +214,7 @@ def test_translated_pipeline_recovers_shifted_support():
     c = np.array([0.2, 0.0, 0.0])
     for rho in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]):
         rho = np.asarray(rho)
-        sweep = synth_translated(eng.sweep([rho], taus, [0.0])[0], c)
-        [est] = estimate_support([sweep])
+        [est] = estimate_support(synth_translated(eng.sweep([rho], taus, [0.0]), c))
         want = 0.5 + float(c @ rho)
         assert abs(est.h_hat - want) <= 0.06
 
