@@ -5,11 +5,17 @@ unwritable output, 3 solver guard tripped, 4 hull infeasible/unbounded.
 Each output is written atomically (temp file + rename, the temp file
 removed if either fails) so no file is left partial; an identical config
 yields byte-identical bytes.
+
+`main` registers `gc.freeze` to run at exit, once per process: every
+output is written and closed by then, so the collector passes of
+interpreter teardown may skip the objects still alive.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
@@ -157,6 +163,10 @@ def cmd_reconstruct(config: RunConfig, out: str) -> int:
 
 
 def main(argv=None) -> int:
+    # at exit, not now: a process that goes on after main() returns (a test
+    # run) keeps its collector; one registration however often main() runs
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = argparse.ArgumentParser(
         prog="enclosure",
         description="Enclosure-method reconstruction for the Maxwell system")

@@ -37,6 +37,18 @@ def write_config(tmp_path, doc, name="cfg.json"):
     return str(p)
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHIPPED = [os.path.join(ROOT, "configs", f"{name}.json")
+           for name in ("pec_ball", "transmission_ball")]
+
+
+def _python(*args, **kwargs):
+    """Run `python ARGS` in a fresh interpreter with `src` on the path."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=ROOT, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -163,12 +175,7 @@ def test_size_caps_admit_the_largest_configs(tmp_path, capsys):
 
 
 def test_python_dash_m_runs_the_cli():
-    src = os.path.dirname(os.path.dirname(indicator.__file__))
-    root = os.path.dirname(src)
-    res = subprocess.run([sys.executable, "-m", "enclosure", "validate", "--config",
-                          os.path.join(root, "configs", "pec_ball.json")],
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src))
+    res = _python("-m", "enclosure", "validate", "--config", SHIPPED[0])
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["n_directions"] == 26
 
@@ -295,9 +302,7 @@ def test_cli_import_loads_no_hull_backend():
     code = ("import sys, enclosure.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
             "or m in ('enclosure.selftest', 'enclosure.layerpot')))")
-    src = os.path.dirname(os.path.dirname(indicator.__file__))
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    res = _python("-c", code, check=True)
     assert res.stdout.strip() == "[]"
 
 
@@ -308,9 +313,7 @@ def test_reconstruct_loads_no_scipy(tmp_path):
     code = ("import sys; from enclosure.cli import main; "
             f"rc = main({argv!r}); "
             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = os.path.dirname(os.path.dirname(indicator.__file__))
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    res = _python("-c", code, check=True)
     assert res.stdout.strip().splitlines()[-1] == "0 []"
 
 
@@ -431,12 +434,8 @@ def test_sweep_radial_overflow_exit_3(tmp_path, capsys, label, doc):
 def test_radial_overflow_stderr_is_one_line(tmp_path, label, doc):
     """In a fresh interpreter with the default warning filters, the exit-3
     run writes its guard line and no floating-point warning before it."""
-    src = os.path.dirname(os.path.dirname(indicator.__file__))
-    res = subprocess.run([sys.executable, "-m", "enclosure.cli", "sweep",
-                          "--config", write_config(tmp_path, doc),
-                          "--out", str(tmp_path / "ovf")],
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src))
+    res = _python("-m", "enclosure.cli", "sweep", "--config", write_config(tmp_path, doc),
+                  "--out", str(tmp_path / "ovf"))
     assert res.returncode == 3
     assert res.stderr.startswith("solver guard: ") and res.stderr.count("\n") == 1
 
@@ -474,3 +473,84 @@ def test_selftest_mutation_trips(capsys):
     assert main(["selftest", "--inject", "mk-sign-flip"]) == 1
     out = capsys.readouterr().out
     assert "FAIL jump-relation" in out
+
+
+# ---------------------------------------------------------------------------
+# process exit: each check runs in a fresh interpreter
+
+# records what stays registered with atexit, and registers a checker that
+# runs after every handler registered later (atexit is last in, first out)
+_AT_EXIT = """
+import atexit, gc, sys
+registered = []
+register, unregister = atexit.register, atexit.unregister
+def recording(fn, *args, **kwargs):
+    registered.append(fn)
+    return register(fn, *args, **kwargs)
+def unrecording(fn):
+    registered[:] = [f for f in registered if f != fn]
+    unregister(fn)
+atexit.register, atexit.unregister = recording, unrecording
+atexit.register(lambda: print("freeze count", gc.get_freeze_count() > 0,
+                              "registered", registered.count(gc.freeze)))
+import enclosure.cli as cli
+for argv in sys.argv[1:]:
+    cli.main(argv.split())
+"""
+
+
+def test_import_alone_registers_no_freeze():
+    res = _python("-c", _AT_EXIT)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "freeze count False registered 0\n"
+
+
+def test_main_registers_the_freeze_once_and_it_runs_last():
+    validate = "validate --config " + SHIPPED[0]
+    res = _python("-c", _AT_EXIT, validate, validate)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.endswith("}\nfreeze count True registered 1\n")
+
+
+def test_piped_stdout_carries_the_whole_report(tmp_path):
+    res = _python("-m", "enclosure", "reconstruct", "--config", SHIPPED[0],
+                  "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (tmp_path / "report.txt").read_text(encoding="utf-8")
+
+
+ONE_SIDED = dict(RECON, directions={"kind": "explicit", "vectors": [
+    [0, 0, 1], [1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]})
+
+
+@pytest.mark.parametrize("doc,rc,stderr", [
+    (RECON, 0, ""), (dict(BASE, wave_number=-2.0), 2, "config error: "),
+    (ONE_SIDED, 4, "hull failure: ")], ids=["ok", "config", "hull"])
+def test_exit_codes_of_a_fresh_process(tmp_path, doc, rc, stderr):
+    res = _python("-m", "enclosure", "reconstruct", "--config",
+                  write_config(tmp_path, doc), "--out", str(tmp_path / "out"))
+    assert res.returncode == rc, res.stderr
+    assert res.stderr.startswith(stderr) and (rc == 0) == (res.stderr == "")
+
+
+# exit 2 at load; exit 3 from the eigenvalue guard inside the sweep
+RUNS = [pytest.param(command, path, 0, id=f"{command}-{os.path.basename(path)}")
+        for command in ("validate", "sweep", "reconstruct") for path in SHIPPED]
+RUNS += [pytest.param("validate", dict(BASE, wave_number=-2.0), 2, id="config-error"),
+         pytest.param("sweep", dict(BASE, wave_number=4.493409457909064), 3,
+                      id="solver-guard")]
+
+
+@pytest.mark.parametrize("command,config,rc", RUNS)
+def test_run_path_relies_on_no_finalizer(tmp_path, command, config, rc):
+    """Objects alive at exit are never finalized once the collector is
+    frozen, so every file the run path opens is closed explicitly: in
+    development mode an unclosed file warns when it is dropped."""
+    if isinstance(config, dict):
+        config = write_config(tmp_path, config)
+    argv = [command, "--config", config]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out")]
+    res = _python("-X", "dev", "-W", "error::ResourceWarning", "-m", "enclosure", *argv)
+    assert res.returncode == rc, res.stderr
+    assert "ResourceWarning" not in res.stderr

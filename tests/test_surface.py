@@ -31,12 +31,16 @@ def _resolve(modname, dotted):
     return obj
 
 
-def _load_child():
+def _load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_child", PERFBENCH / "child.py")
-    child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(child)          # main() runs only as a script
-    return child
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)         # main() runs only as a script
+    return module
+
+
+def _load_child():
+    return _load_perfbench("child")
 
 
 def _child_env():
@@ -92,23 +96,40 @@ def test_cli_import_loads_every_traced_module():
 
 def test_child_traced_run_matches_plain_run(tmp_path):
     """The benchmark's traced run writes the same bytes as its plain run,
-    and its spans nest."""
-    outputs = {}
-    for trace in ("0", "1"):
-        out, marks = tmp_path / f"out{trace}", tmp_path / f"marks{trace}.json"
-        subprocess.run([sys.executable, str(PERFBENCH / "child.py"), str(marks),
-                        trace, "--", "reconstruct", "--config",
-                        str(ROOT / "configs" / "pec_ball.json"), "--out", str(out)],
-                       capture_output=True, env=_child_env(), cwd=ROOT, check=True)
-        outputs[trace] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert sorted(outputs["0"]) == ["estimates.csv", "hull.off", "report.txt"]
-    assert outputs["0"] == outputs["1"]
-    spans = json.loads(marks.read_text(encoding="utf-8"))["spans"]
-    assert spans and spans[0][0] == "cli.main"
-    for name, parent, start, end, _ in spans:
-        assert start <= end, name
-        if parent >= 0:
-            assert spans[parent][2] <= start and end <= spans[parent][3], name
+    its spans nest, and its `cli.main` span is the `main` interval; on
+    `reconstruct` and `sweep` at desk size and on a `reconstruct_fine`
+    config."""
+    fine = tmp_path / "fine.json"
+    fine.write_text(json.dumps(_load_perfbench("workloads").fine_config(1)),
+                    encoding="utf-8")
+    configs = ROOT / "configs"
+    shapes = [("reconstruct", configs / "pec_ball.json"),
+              ("sweep", configs / "pec_ball.json"),
+              ("sweep", configs / "transmission_ball.json"),
+              ("reconstruct", fine)]
+    for n, (command, config) in enumerate(shapes):
+        label = f"{command} {config.name}"
+        outputs = {}
+        for trace in ("0", "1"):
+            out, marks = tmp_path / f"out{n}_{trace}", tmp_path / f"marks{n}_{trace}.json"
+            subprocess.run([sys.executable, str(PERFBENCH / "child.py"), str(marks),
+                            trace, "--", command, "--config", str(config),
+                            "--out", str(out)],
+                           capture_output=True, env=_child_env(), cwd=ROOT, check=True)
+            outputs[trace] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        expected = ["sweep.csv"] if command == "sweep" else [
+            "estimates.csv", "hull.off", "report.txt"]
+        assert sorted(outputs["0"]) == expected, label
+        assert outputs["0"] == outputs["1"], label
+        recorded = json.loads(marks.read_text(encoding="utf-8"))
+        spans = recorded["spans"]
+        assert spans and spans[0][0] == "cli.main", label
+        for name, parent, start, end, _ in spans:
+            assert start <= end, (label, name)
+            if parent >= 0:
+                assert spans[parent][2] <= start and end <= spans[parent][3], (label, name)
+        main0, main1 = recorded["main"]
+        assert abs((spans[0][3] - spans[0][2]) - (main1 - main0)) <= 1e-3, label
 
 
 # the benchmark's engine mark: wrap `cli._engine_for` as child.py does, and
