@@ -9,8 +9,7 @@ exponential dichotomy of the indicator functional.
 from .cgo import CgoMode, CgoProbe, build_probe
 from .forward import (Geometry, ImpedanceOperator, Medium, solution_empty,
                       solution_pec, solution_transmission)
-from .indicator import (IndicatorEngine, IndicatorTable, SweepConfig,
-                        indicator_value)
+from .indicator import IndicatorEngine, IndicatorTable, indicator_value
 from .recon import (SupportEstimate, estimate_support, reconstruct_hull,
                     synth_translated)
 
@@ -20,7 +19,7 @@ __all__ = [
     "CgoMode", "CgoProbe", "build_probe",
     "Geometry", "Medium", "ImpedanceOperator",
     "solution_empty", "solution_pec", "solution_transmission",
-    "IndicatorEngine", "IndicatorTable", "SweepConfig", "indicator_value",
+    "IndicatorEngine", "IndicatorTable", "indicator_value",
     "SupportEstimate", "estimate_support",
     "synth_translated", "reconstruct_hull",
 ]

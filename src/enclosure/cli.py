@@ -24,10 +24,10 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import (ConfigError, Infeasible, InsufficientTrustedSamples,
-                     NearEigenvalue, NearInteriorEigenvalue,
+                     NearEigenvalue, NearInteriorEigenvalue, PoleAtZero,
                      QuadratureUnderResolved, RadialOverflow,
                      TruncationInsufficient, Unbounded)
-from .indicator import IndicatorEngine, SweepConfig
+from .indicator import IndicatorEngine
 from .recon import estimate_support, reconstruct_hull, synth_translated
 
 EXIT_OK = 0
@@ -36,7 +36,7 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_GEOMETRY = 4
 
-_GUARD_ERRORS = (NearEigenvalue, NearInteriorEigenvalue, RadialOverflow,
+_GUARD_ERRORS = (NearEigenvalue, NearInteriorEigenvalue, PoleAtZero, RadialOverflow,
                  TruncationInsufficient, QuadratureUnderResolved,
                  InsufficientTrustedSamples)
 
@@ -60,16 +60,8 @@ def _atomic_write(path: str, text: str):
 
 
 def _engine_for(config: RunConfig) -> IndicatorEngine:
-    sweep_cfg = SweepConfig(
-        problem=config.problem,
-        geometry=config.geometry,
-        k=config.wave_number,
-        medium=config.medium,
-        L=config.degree,
-        tail_tol=config.tolerances["trace_tail"],
-        eigen_guard=config.tolerances["eigen_guard"],
-    )
-    return IndicatorEngine(sweep_cfg)
+    return IndicatorEngine(config.operator(), config.mode,
+                           config.tolerances["trace_tail"])
 
 
 def _indicator_table(config: RunConfig, engine: IndicatorEngine, ts):

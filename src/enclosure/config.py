@@ -3,6 +3,8 @@
 A config fully determines a batch run; identical configs produce
 byte-identical outputs.  Every physical constraint is checked here
 before any solver work starts, with messages naming the offending key.
+It is also the one owner of the problem kinds: what each solves
+(`RunConfig.operator`) and which CGO family reads it (`RunConfig.mode`).
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cgo import CgoMode
 from .errors import ConfigError
-from .forward import Geometry, Medium
+from .forward import (Geometry, ImpedanceOperator, Medium, solution_empty,
+                      solution_pec, solution_transmission)
 from .indicator import auto_degree
 from .recon import directions_axes26, directions_fibonacci
 
@@ -60,6 +64,27 @@ class RunConfig:
         return auto_degree(max(self.tau_grid), self.wave_number,
                            self.geometry.r_domain)
 
+    @property
+    def mode(self) -> CgoMode:
+        """The probe family: |theta| ~ tau reads the mu jump, |eta| ~ tau the rest."""
+        return (CgoMode.PENETRABLE if self.problem == "transmission"
+                else CgoMode.IMPENETRABLE)
+
+    def operator(self) -> ImpedanceOperator:
+        """The problem's impedance operator at `degree`.  The empty ball is
+        solved after it whatever the problem: the operator difference divides
+        by its radial functions, so its eigenvalue guard must trip too (at
+        k R = 4.4934 it alone does)."""
+        k, L, guard = self.wave_number, self.degree, self.tolerances["eigen_guard"]
+        op = None
+        if self.problem == "pec":
+            op = solution_pec(k, self.geometry, L, guard=guard).operator
+        elif self.problem == "transmission":
+            op = solution_transmission(k, self.geometry, self.medium, L,
+                                       guard=guard).operator
+        empty = solution_empty(k, self.geometry.r_domain, L, guard=guard).operator
+        return empty if op is None else op
+
     def resolved(self) -> dict:
         """Plain-JSON view with the auto degree materialized."""
         out = {
@@ -102,6 +127,12 @@ def _grid_values(raw, path, errors):
             return []
         if not _is_count(raw["count"]) or raw["count"] < 1:
             errors.append(f"{path}.count: must be an integer >= 1")
+            return []
+        if raw["stop"] < raw["start"]:
+            errors.append(f"{path}: values must be sorted ascending (start > stop)")
+            return []
+        if not math.isfinite(raw["stop"] - raw["start"]):
+            errors.append(f"{path}: stop - start must be a finite number")
             return []
         return list(np.linspace(float(raw["start"]), float(raw["stop"]),
                                 raw["count"]))
@@ -171,6 +202,28 @@ def _directions(raw, errors):
     return directions_axes26()
 
 
+def _scale_errors(tau_max: float, k: float, geometry: Geometry,
+                  medium: Medium | None) -> list:
+    """The problem's scale z, the largest radial argument, capped whatever
+    `truncation_degree` says: its Bessel recurrences take about 1.1 Python
+    steps per unit of z, so z = 1e300 would never end.  The cap is the
+    automatic degree's, ceil(1.5 z) + 10 <= MAX_DEGREE (z <= 2724); the
+    line is led by the key of the largest factor."""
+    factors = {"tau_grid": tau_max, "wave_number": k, "geometry.r_domain": geometry.r_domain}
+    z = math.hypot(tau_max, k) * geometry.r_domain
+    root = math.sqrt(medium.mu_inside) if medium is not None else 0.0
+    if k * root * geometry.r_obstacle > z:
+        factors = {"wave_number": k, "medium.mu_contrast": root,
+                   "geometry.r_obstacle": geometry.r_obstacle}
+        z = k * root * geometry.r_obstacle
+    if 1.5 * z <= MAX_DEGREE - 10:
+        return []
+    auto = float(np.ceil(1.5 * z)) + 10.0
+    return [f"{max(factors, key=factors.get)}: the scale {z:.4g} of {', '.join(factors)} "
+            f"sets the automatic truncation degree to {auto:.4g}, above the cap of "
+            f"{MAX_DEGREE} (about {auto * _DEGREE_BYTES / 1e9:.3g} GB)"]
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Validate a raw JSON document; raises ConfigError listing every issue."""
     errors: list[str] = []
@@ -193,6 +246,9 @@ def parse_config(doc: dict) -> RunConfig:
         errors.append("geometry: r_obstacle and r_domain must be finite numbers")
     elif not (0.0 < r_obs < r_dom):
         errors.append("geometry: need 0 < r_obstacle < r_domain")
+    elif not 1e-30 <= r_dom <= 1e30:
+        # with k R and tau R capped, the trace weights' k^4 and tau^4 stay finite
+        errors.append("geometry.r_domain: must lie in [1e-30, 1e30]")
     else:
         geometry = Geometry(float(r_obs), float(r_dom))
 
@@ -231,6 +287,8 @@ def parse_config(doc: dict) -> RunConfig:
         tau_grid = _grid_values(doc.get("tau_grid"), "tau_grid", errors)
         if tau_grid and min(tau_grid) <= 0:
             errors.append("tau_grid: values must be positive")
+        if len(set(tau_grid)) < len(tau_grid):
+            errors.append("tau_grid: values must be distinct (for the support fit)")
         t_grid = _grid_values(doc.get("t_grid"), "t_grid", errors)
         directions = _directions(doc.get("directions"), errors)
 
@@ -241,17 +299,8 @@ def parse_config(doc: dict) -> RunConfig:
     elif L is not None and L > MAX_DEGREE:
         errors.append(f"truncation_degree: {L} exceeds the cap of {MAX_DEGREE} "
                       f"(about {L * _DEGREE_BYTES / 1e9:.3g} GB)")
-    elif L is None and tau_grid and geometry is not None:
-        try:
-            auto = auto_degree(float(max(tau_grid)), float(k), geometry.r_domain)
-        except OverflowError:
-            errors.append(f"tau_grid: max tau {max(tau_grid):g} overflows the "
-                          "automatic truncation degree; set truncation_degree")
-        else:
-            if auto > MAX_DEGREE:
-                errors.append(f"tau_grid: max tau {max(tau_grid):g} sets the automatic "
-                              f"truncation degree to {auto}, above the cap of "
-                              f"{MAX_DEGREE} (about {auto * _DEGREE_BYTES / 1e9:.3g} GB)")
+    if tau_grid and geometry is not None:
+        errors += _scale_errors(max(tau_grid), float(k), geometry, medium)
 
     tol = dict(_DEFAULT_TOLERANCES)
     tol_raw = doc.get("tolerances", {})

@@ -68,7 +68,6 @@ class ImpedanceOperator:
     L: int
     lam: np.ndarray            # (2, L+1) complex
     diff_empty: np.ndarray     # (2, L+1) complex
-    label: str = "empty"
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +217,9 @@ class FieldSolution:
 
 
 def _lam_from_xi(xi_a, dxi_a):
+    """Impedance entries; one over a subnormal radial function is not finite."""
     lam = np.zeros((2, len(xi_a)), dtype=complex)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lam[TE] = np.where(xi_a != 0, -1j * dxi_a / xi_a, 0.0)
         lam[TM] = np.where(dxi_a != 0, -1j * xi_a / dxi_a, 0.0)
     return lam
@@ -284,14 +284,14 @@ def solution_empty(k: float, r_domain: float, L: int,
         raise ValueError("need k > 0 and L >= 1")
     a = k * r_domain
     # chi overflows at high degree; the empty map never reads it
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         psi_a, dpsi_a, chi_a, dchi_a = riccati_tables(L, a)
     scale = np.abs(psi_a) + np.abs(dpsi_a)
     _guard_eigenvalues("empty ball", guard, scale, psi_a, scale, dpsi_a, L)
 
     lam = _lam_from_xi(psi_a, dpsi_a)
     op = ImpedanceOperator(k=k, r_domain=r_domain, L=L, lam=lam,
-                           diff_empty=np.zeros_like(lam), label="empty")
+                           diff_empty=np.zeros_like(lam))
     cj = np.ones((2, L + 1))
     cy = np.zeros((2, L + 1))
     sol = FieldSolution(problem="empty", k=k, geometry=None, medium=None,
@@ -310,7 +310,7 @@ def solution_pec(k: float, geometry: Geometry, L: int,
     b = k * geometry.r_obstacle
     # past the double range the tables overflow; _outer_maps then raises
     # RadialOverflow, which is the one report of it
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         psi_a, dpsi_a, chi_a, dchi_a = riccati_tables(L, a)
         psi_b, dpsi_b, chi_b, dchi_b = riccati_tables(L, b)
 
@@ -322,7 +322,7 @@ def solution_pec(k: float, geometry: Geometry, L: int,
                                 psi_a, dpsi_a, chi_a, dchi_a)
 
     op = ImpedanceOperator(k=k, r_domain=geometry.r_domain, L=L, lam=lam,
-                           diff_empty=diff, label="pec")
+                           diff_empty=diff)
     sol = FieldSolution(problem="pec", k=k, geometry=geometry, medium=None,
                         L=L, r_domain=geometry.r_domain,
                         regions=[_Region(geometry.r_obstacle, geometry.r_domain,
@@ -346,7 +346,7 @@ def solution_transmission(k: float, geometry: Geometry, medium: Medium, L: int,
     b_in = k_in * geometry.r_obstacle
 
     # as in solution_pec, an overflow ends in RadialOverflow alone
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         psi_a, dpsi_a, chi_a, dchi_a = riccati_tables(L, a)
         psi_b, dpsi_b, chi_b, dchi_b = riccati_tables(L, b)
         psi_i, dpsi_i, _, _ = riccati_tables(L, b_in)
@@ -366,7 +366,7 @@ def solution_transmission(k: float, geometry: Geometry, medium: Medium, L: int,
                                 contrast=medium.mu_contrast != 0.0)
 
     op = ImpedanceOperator(k=k, r_domain=geometry.r_domain, L=L, lam=lam,
-                           diff_empty=diff, label="transmission")
+                           diff_empty=diff)
     inner = _Region(0.0, geometry.r_obstacle, k_in, 1.0 / rmu,
                     np.ones((2, L + 1)), np.zeros((2, L + 1)))
     outer = _Region(geometry.r_obstacle, geometry.r_domain, k, 1.0, alpha, beta)

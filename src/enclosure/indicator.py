@@ -24,7 +24,7 @@ from .cgo import CgoMode, CgoProbe, _ball_lq_integrals, eval_cgo_batch
 from .conventions import POL_U, POL_V, TE, TM
 from .errors import QuadratureUnderResolved, TruncationInsufficient
 from .forward import (FieldSolution, Geometry, ImpedanceOperator, Medium,
-                      solution_empty, solution_pec, solution_transmission)
+                      solution_pec, solution_transmission)
 from .mathkit import ScaledComplex, VshCoeffs, normalize
 from .mathkit.bessel import riccati_j_logs
 from .mathkit.vsh import VshTransform, get_transform, tail_fraction
@@ -35,7 +35,7 @@ _LN2 = math.log(2.0)
 
 def auto_degree(max_tau: float, k: float, r_domain: float) -> int:
     """Truncation rule: enough degrees to resolve the CGO trace at max_tau."""
-    return int(math.ceil(1.5 * math.sqrt(max_tau**2 + k**2) * r_domain)) + 10
+    return int(math.ceil(1.5 * math.hypot(max_tau, k) * r_domain)) + 10
 
 
 @dataclass(eq=False)
@@ -207,39 +207,30 @@ def _degree_sum(dlam: np.ndarray, k: float, tau: float, r_domain: float,
     """exp(ln_scale) ik tau R^2 sum_l [conj(dlam_TE) U_l - conj(dlam_TM) V_l],
     as the (mantissa, exponent) fields of a scaled number.
 
-    The terms are rescaled by the exact power of two of the largest and
-    summed once.
+    The terms are rescaled by the exact power of two of the largest (by
+    2**1021 at most, for a subnormal one) and summed once.
     """
     terms = 1j * k * tau * r_domain**2 * (
         np.conj(dlam[TE]) * energies[POL_U] - np.conj(dlam[TM]) * energies[POL_V])
     _, nbits = math.frexp(float(np.max(np.abs(terms))))
+    nbits = max(nbits, -1021)
     total = complex(np.sum(terms * math.ldexp(1.0, -nbits)))
     return normalize(total, ln_scale + nbits * _LN2)
 
 
-def _operator_difference(op_d: ImpedanceOperator, op_empty: ImpedanceOperator):
-    if (op_d.L != op_empty.L or op_d.k != op_empty.k
-            or op_d.r_domain != op_empty.r_domain):
-        raise ValueError("operators must share (k, r_domain, L)")
-    if op_d.label != "empty":
-        # assembled in closed form, free of subtractive cancellation
-        return op_d.diff_empty
-    return op_d.lam - op_empty.lam
-
-
-def indicator_value(op_d: ImpedanceOperator, op_empty: ImpedanceOperator,
-                    probe: CgoProbe, trace: VshCoeffs | None = None,
+def indicator_value(op: ImpedanceOperator, probe: CgoProbe,
+                    trace: VshCoeffs | None = None,
                     tail_tol: float = DEFAULT_TAIL_TOL) -> ScaledComplex:
     """I_rho(tau, t) as a scaled complex number.
 
     The Parseval form per degree l is
         ik tau R^2 [ conj(dlam_TE) sum_m |h_U|^2 - conj(dlam_TM) sum_m |h_V|^2 ]
-    where h is the nu^E0 trace and dlam the operator difference.
+    where h is the nu^E0 trace and dlam = `op.diff_empty`, the operator
+    difference to the empty map.
     """
-    dlam = _operator_difference(op_d, op_empty)
     if trace is None:
-        trace, _ = cgo_trace(probe, op_d.r_domain, op_d.L, tail_tol=tail_tol)
-    return ScaledComplex(*_degree_sum(dlam, probe.k, probe.tau, op_d.r_domain,
+        trace, _ = cgo_trace(probe, op.r_domain, op.L, tail_tol=tail_tol)
+    return ScaledComplex(*_degree_sum(op.diff_empty, probe.k, probe.tau, op.r_domain,
                                       trace.degree_energies(), 2.0 * trace.ln_scale))
 
 
@@ -247,71 +238,36 @@ def indicator_value(op_d: ImpedanceOperator, op_empty: ImpedanceOperator,
 # sweep engine
 
 
-@dataclass
-class SweepConfig:
-    """Everything needed to evaluate the indicator for one configuration."""
-
-    problem: str                         # 'pec' | 'transmission' | 'empty'
-    geometry: Geometry
-    k: float
-    L: int
-    medium: Medium | None = None
-    tail_tol: float = DEFAULT_TAIL_TOL
-    eigen_guard: float = 1e-10
-
-    def mode(self) -> CgoMode:
-        return (CgoMode.PENETRABLE if self.problem == "transmission"
-                else CgoMode.IMPENETRABLE)
-
-
 class IndicatorEngine:
-    """Shared operator and radial-factor assembly for (tau, t, rho) sweeps."""
+    """(tau, t, rho) sweeps of one impedance operator, read by one probe
+    family; the radial factors of the trace are assembled once."""
 
-    def __init__(self, config: SweepConfig):
-        self.config = config
-        self.L = config.L
-        if config.problem == "empty":
-            # no obstacle: the operator difference vanishes identically
-            self.solution = solution_empty(config.k, config.geometry.r_domain,
-                                           self.L, guard=config.eigen_guard)
-        elif config.problem == "pec":
-            self.solution = solution_pec(config.k, config.geometry, self.L,
-                                         guard=config.eigen_guard)
-        elif config.problem == "transmission":
-            if config.medium is None:
-                raise ValueError("transmission problem needs a medium")
-            self.solution = solution_transmission(config.k, config.geometry,
-                                                  config.medium, self.L,
-                                                  guard=config.eigen_guard)
-        else:
-            raise ValueError(f"unknown problem {config.problem!r}")
-        self.op_d = self.solution.operator
-        self.op_empty = solution_empty(config.k, config.geometry.r_domain,
-                                       self.L, guard=config.eigen_guard).operator
-        self.r_domain = config.geometry.r_domain
-        self.dlam = _operator_difference(self.op_d, self.op_empty)
-        self.radial = trace_radial_logs(config.k, self.r_domain, self.L)
+    def __init__(self, op: ImpedanceOperator, mode: CgoMode,
+                 tail_tol: float = DEFAULT_TAIL_TOL):
+        self.op, self.mode, self.tail_tol = op, mode, tail_tol
+        self.L = op.L
+        self.radial = trace_radial_logs(op.k, op.r_domain, self.L)
 
     def sweep(self, rhos, taus, ts) -> IndicatorTable:
         """The indicator at every (direction, t, tau).  The concentric
         indicator depends on (tau, t) alone: one set of trace energies per
         tau and one value per (tau, t), computed at shape (1, t, tau) and
         shared by every direction."""
-        cfg, R = self.config, self.r_domain
+        op, R = self.op, self.op.r_domain
         taus = np.array(taus, dtype=float)
         ts = np.array(ts, dtype=float)
         mantissa = np.empty((1, len(ts), len(taus)), dtype=complex)
         exponent = np.empty(mantissa.shape)
         tail = np.empty((1, 1, len(taus)))
         for k, tau in enumerate(taus.tolist()):
-            energies = trace_energies(cfg.k, tau, cfg.mode(), R, self.L, self.radial)
+            energies = trace_energies(op.k, tau, self.mode, R, self.L, self.radial)
             tail[0, 0, k] = tail_fraction(energies)
             for j, t in enumerate(ts.tolist()):
                 mantissa[0, j, k], exponent[0, j, k] = _degree_sum(
-                    self.dlam, cfg.k, tau, R, energies, 2.0 * (tau * (R - t)))
+                    op.diff_empty, op.k, tau, R, energies, 2.0 * (tau * (R - t)))
         return IndicatorTable(rhos=np.asarray(rhos, dtype=float), taus=taus, ts=ts,
                               mantissa=mantissa, exponent=exponent, tail=tail,
-                              trusted=tail <= cfg.tail_tol)
+                              trusted=tail <= self.tail_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +374,7 @@ def volume_indicator_transmission(probe: CgoProbe, geometry: Geometry,
                         (1.0 / mu - 1.0) * k * k * theta2, shells, check)
 
 
-__all__ = ["IndicatorTable", "SweepConfig", "IndicatorEngine", "auto_degree",
+__all__ = ["IndicatorTable", "IndicatorEngine", "auto_degree",
            "cgo_trace", "trace_energies", "trace_radial_logs",
            "indicator_value",
            "volume_indicator_pec", "volume_indicator_transmission",

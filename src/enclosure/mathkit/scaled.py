@@ -118,6 +118,8 @@ def normalize(mantissa: complex, exponent: float) -> tuple[complex, float]:
     if not math.isfinite(mag):
         return complex(mantissa), float(exponent)
     _, nbits = math.frexp(mag)   # mag = frac * 2**nbits, frac in [0.5, 1)
+    if nbits < -1021:            # subnormal: 2**-nbits is past the double range
+        return normalize(mantissa * math.ldexp(1.0, 1021), exponent - 1021 * _LN2)
     if nbits != 0:
         mantissa = mantissa * math.ldexp(1.0, -nbits)
         exponent = exponent + nbits * _LN2

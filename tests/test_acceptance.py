@@ -12,10 +12,8 @@ import numpy as np
 from enclosure.cgo import (CgoMode, build_probe, cgo_identity_defect,
                            cgo_volume_norms, eval_cgo_batch)
 from enclosure.cli import main
-from enclosure.forward import (Geometry, Medium, solution_empty, solution_pec,
-                               solution_transmission)
-from enclosure.indicator import (IndicatorEngine, SweepConfig,
-                                 indicator_value, volume_indicator_pec,
+from enclosure.forward import Geometry, Medium, solution_pec, solution_transmission
+from enclosure.indicator import (IndicatorEngine, indicator_value, volume_indicator_pec,
                                  volume_indicator_transmission)
 from enclosure.layerpot import (SurfaceDensity, mk_symbols, nu_wedge_h_limit)
 from enclosure.mathkit import VshCoeffs
@@ -82,15 +80,14 @@ def test_criterion_2_scaling_identity():
     t0 = time.time()
     L = 40
     sol = solution_pec(K, GEOM, L)
-    op_e = solution_empty(K, GEOM.r_domain, L).operator
     worst = 0.0
     for tau in np.linspace(6.0, 14.0, 5):
         probes = [build_probe(K, float(tau), float(t), [0.0, 0.0, 1.0],
                               CgoMode.IMPENETRABLE)
                   for t in np.linspace(0.0, 1.0, 5)]
-        base = indicator_value(sol.operator, op_e, probes[0])
+        base = indicator_value(sol.operator, probes[0])
         for p in probes[1:]:
-            val = indicator_value(sol.operator, op_e, p)
+            val = indicator_value(sol.operator, p)
             shifted = base.scale_exp(2.0 * tau * (probes[0].t - p.t))
             worst = max(worst, (val - shifted).abs() / val.abs())
     ok = worst < 1e-12
@@ -133,17 +130,16 @@ def test_criterion_4_energy_identities():
             np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0),
             np.array([1.0, 0.0, 0.0])]
     sol_p = solution_pec(K, GEOM, L)
-    op_e = solution_empty(K, GEOM.r_domain, L).operator
     med = Medium(0.5)
     sol_t = solution_transmission(K, GEOM, med, L)
     worst = 0.0
     for rho in dirs:
         p = build_probe(K, tau, 0.0, rho, CgoMode.IMPENETRABLE)
-        bdry = indicator_value(sol_p.operator, op_e, p).to_complex().real
+        bdry = indicator_value(sol_p.operator, p).to_complex().real
         vol = volume_indicator_pec(p, GEOM, sol_p.operator, solution=sol_p)
         worst = max(worst, abs(bdry - vol) / abs(vol))
         pt = build_probe(K, tau, 0.0, rho, CgoMode.PENETRABLE)
-        bdry_t = indicator_value(sol_t.operator, op_e, pt).to_complex().real
+        bdry_t = indicator_value(sol_t.operator, pt).to_complex().real
         vol_t = volume_indicator_transmission(pt, GEOM, med, sol_t.operator,
                                               solution=sol_t)
         worst = max(worst, abs(bdry_t - vol_t) / abs(vol_t))
@@ -157,9 +153,16 @@ def _slope(taus, lns):
     return float(np.polyfit(taus, lns, 1)[0])
 
 
-def _dichotomy_slopes(problem, medium):
-    cfg = SweepConfig(problem=problem, geometry=GEOM, k=K, medium=medium, L=64)
-    eng = IndicatorEngine(cfg)
+def _engine(medium):
+    """PEC at L = 64 without a medium, the mu jump with one."""
+    if medium is None:
+        return IndicatorEngine(solution_pec(K, GEOM, 64).operator, CgoMode.IMPENETRABLE)
+    return IndicatorEngine(solution_transmission(K, GEOM, medium, 64).operator,
+                           CgoMode.PENETRABLE)
+
+
+def _dichotomy_slopes(medium):
+    eng = _engine(medium)
     worst_above = -math.inf     # must stay <= -0.1
     worst_below = math.inf      # must stay >= +0.1
     above, below = eng.sweep(DIRS26, TAUS, [0.7]), eng.sweep(DIRS26, TAUS, [0.3])
@@ -174,9 +177,9 @@ def _dichotomy_slopes(problem, medium):
 def test_criterion_5_dichotomy():
     t0 = time.time()
     results = {}
-    results["pec"] = _dichotomy_slopes("pec", None)
-    results["mu=0.5"] = _dichotomy_slopes("transmission", Medium(0.5))
-    results["mu=1.5"] = _dichotomy_slopes("transmission", Medium(-0.5))
+    results["pec"] = _dichotomy_slopes(None)
+    results["mu=0.5"] = _dichotomy_slopes(Medium(0.5))
+    results["mu=1.5"] = _dichotomy_slopes(Medium(-0.5))
     ok = all(above <= -0.1 and below >= 0.1
              for above, below in results.values())
     detail = "; ".join(f"{name}: slope(t=0.7) {a:.3f} <= -0.1, "
@@ -185,17 +188,16 @@ def test_criterion_5_dichotomy():
     _report(5, "theorem-dichotomy", ok, detail, t0)
 
 
-def _support_sweeps(problem, medium):
-    cfg = SweepConfig(problem=problem, geometry=GEOM, k=K, medium=medium, L=64)
-    eng = IndicatorEngine(cfg)
+def _support_sweeps(medium):
+    eng = _engine(medium)
     taus = np.linspace(15.0, 30.0, 8)
     return eng.sweep(DIRS26, taus, [0.0])
 
 
 def test_criterion_6_support_recovery():
     t0 = time.time()
-    sweeps_pec = _support_sweeps("pec", None)
-    sweeps_trans = _support_sweeps("transmission", Medium(0.5))
+    sweeps_pec = _support_sweeps(None)
+    sweeps_trans = _support_sweeps(Medium(0.5))
 
     est_pec = estimate_support(sweeps_pec)
     est_trans = estimate_support(sweeps_trans)

@@ -1,12 +1,19 @@
+import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from enclosure import indicator
 from enclosure.cli import main
@@ -112,6 +119,13 @@ INVALID_CONFIGS = [
     ("infinite auto degree", dict(BASE, tau_grid={
         "start": 1, "stop": 1e308, "count": 3}, truncation_degree=None),
      "config error: tau_grid: "),
+    ("descending grid dict", dict(BASE, tau_grid={
+        "start": 30, "stop": 10, "count": 9}), "tau_grid: values must be sorted"),
+    ("grid dict span overflows", dict(BASE, t_grid={
+        "start": -1.7e308, "stop": 1.7e308, "count": 3}), "t_grid: stop - start"),
+    ("repeated tau", dict(BASE, tau_grid=[6.0, 6.0, 8.0]), "tau_grid: values must be distinct"),
+    ("domain radius past 1e30", dict(BASE, geometry={
+        "r_obstacle": 0.5, "r_domain": 1e31}), "geometry.r_domain: must lie in"),
 ]
 
 
@@ -160,7 +174,8 @@ def test_size_caps_exit_2_before_allocating(tmp_path, capsys, label, doc, needle
 
 def test_size_caps_admit_the_largest_configs(tmp_path, capsys):
     """The benchmark's largest run (48 directions x 7 taus x 2 ts at
-    L = 96) validates, and the row cap itself is inclusive."""
+    L = 96) validates, the row cap itself is inclusive, and a scale of
+    k R = 2700, near the largest legal one, sweeps."""
     fine = dict(BASE, directions={"kind": "fibonacci", "count": 48},
                 tau_grid={"start": 12.5, "stop": 50.0, "count": 7}, truncation_degree=96)
     assert main(["validate", "--config", write_config(tmp_path, fine)]) == 0
@@ -171,6 +186,8 @@ def test_size_caps_admit_the_largest_configs(tmp_path, capsys):
     assert main(["validate", "--config", write_config(tmp_path, at_cap)]) == 0
     at_cap["directions"] = {"kind": "fibonacci", "count": 501}
     assert main(["validate", "--config", write_config(tmp_path, at_cap)]) == 2
+    largest = write_config(tmp_path, dict(BASE, wave_number=2700.0))
+    assert main(["sweep", "--config", largest, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
 
 
@@ -429,8 +446,17 @@ def test_sweep_radial_overflow_exit_3(tmp_path, capsys, label, doc):
     assert not (tmp_path / "ovf" / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("label,doc", OVERFLOW_CONFIGS,
-                         ids=[c[0] for c in OVERFLOW_CONFIGS])
+# a wave number or obstacle so small that the radial functions leave the
+# double range at degree 1, or y_l meets its pole at z = 0
+TINY_CONFIGS = [
+    ("k=1e-300", dict(BASE, wave_number=1e-300)),
+    ("k=1e-200", dict(BASE, wave_number=1e-200)),
+    ("r_obstacle=1e-200", dict(BASE, geometry={"r_obstacle": 1e-200, "r_domain": 1.0})),
+]
+
+
+@pytest.mark.parametrize("label,doc", OVERFLOW_CONFIGS + TINY_CONFIGS,
+                         ids=[c[0] for c in OVERFLOW_CONFIGS + TINY_CONFIGS])
 def test_radial_overflow_stderr_is_one_line(tmp_path, label, doc):
     """In a fresh interpreter with the default warning filters, the exit-3
     run writes its guard line and no floating-point warning before it."""
@@ -554,3 +580,140 @@ def test_run_path_relies_on_no_finalizer(tmp_path, command, config, rc):
     res = _python("-X", "dev", "-W", "error::ResourceWarning", "-m", "enclosure", *argv)
     assert res.returncode == rc, res.stderr
     assert "ResourceWarning" not in res.stderr
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: every input ends in 0, 2, 3 or 4, each error as one
+# prefixed stderr line, in bounded time
+
+
+_STDERR_PREFIXES = ("config error: ", "solver guard: ", "hull failure: ",
+                    "output error: ")
+
+
+class _Hang(Exception):
+    """A command ran past its alarm."""
+
+
+def _on_alarm(signum, frame):
+    raise _Hang("command still running after its alarm")
+
+
+def _run_main(argv, seconds):
+    """(exit code, stderr lines, warning messages) of an in-process
+    `main(argv)` that must end within `seconds`; stdout is dropped."""
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    err, rc = io.StringIO(), None
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(io.StringIO()), redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(argv)
+    except _Hang:
+        pass                   # the interrupted frames are not worth a traceback
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    if rc is None:
+        pytest.fail(f"{argv[0]} still running after {seconds} s", pytrace=False)
+    return rc, err.getvalue().splitlines(), [str(w.message) for w in caught]
+
+
+# one key of a shipped config set past the largest legal scale: before the
+# cap the Bessel recurrences ran past 10 s at k = 1e7, and for ever at 1e300
+SCALES = [
+    ("pec_ball", "WAVE_NUMBER", "1e7", "wave_number: "),
+    ("pec_ball", "WAVE_NUMBER", "1e300", "wave_number: "),
+    ("pec_ball", "WAVE_NUMBER", "1e308", "wave_number: "),
+    ("pec_ball", "GEOMETRY__R_DOMAIN", "1e300", "geometry.r_domain: "),
+    ("pec_ball", "GEOMETRY__R_DOMAIN", "3000", "geometry.r_domain: "),
+    ("transmission_ball", "MEDIUM__MU_CONTRAST", "-1e300", "medium.mu_contrast: "),
+]
+
+
+@pytest.mark.parametrize("config,key,value,needle", SCALES,
+                         ids=[f"{c[1].lower()}={c[2]}" for c in SCALES])
+def test_scale_past_the_cap_exits_2_within_a_second(tmp_path, monkeypatch,
+                                                    config, key, value, needle):
+    monkeypatch.setenv(f"ENCLOSURE_{key}", value)
+    path = os.path.join(ROOT, "configs", f"{config}.json")
+    start = time.perf_counter()
+    rc, lines, caught = _run_main(["sweep", "--config", path, "--out", str(tmp_path)], 10.0)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and len(lines) == 1 and caught == []
+    assert lines[0].startswith("config error: " + needle)
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+# positive floats from 1e-300 to 1e300, log-uniform, and the desk range
+_POSITIVE = st.one_of(
+    st.floats(0.1, 40.0),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.9), st.integers(-300, 300)))
+_SIGNED = st.one_of(_POSITIVE, _POSITIVE.map(lambda x: -x))
+
+
+def _grid(values, max_count):
+    """A list grid of sorted values or a start/stop/count dict of any two."""
+    return st.one_of(
+        st.lists(values, min_size=1, max_size=max_count).map(sorted),
+        st.fixed_dictionaries({"start": values, "stop": values,
+                               "count": st.integers(1, max_count)}))
+
+
+def _geometry(r_domain, r_obstacle):
+    return {"r_obstacle": r_obstacle, "r_domain": r_domain}
+
+
+# each key near the shipped configs, where most runs end in 0 or 3 ...
+_DESK = {
+    "wave_number": st.floats(0.5, 2.0),
+    "geometry": st.builds(_geometry, st.just(1.0), st.floats(0.2, 0.8)),
+    "mu_contrast": st.one_of(st.floats(-2.0, -0.01), st.floats(0.01, 0.9)),
+    "tau_grid": st.fixed_dictionaries({"start": st.floats(5.0, 7.0),
+                                       "stop": st.floats(14.0, 16.0),
+                                       "count": st.integers(5, 7)}),
+    "t_grid": st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=2).map(sorted),
+    "truncation_degree": st.integers(30, 40),
+}
+# ... or anywhere from 1e-300 to 1e300
+_WILD = {
+    "wave_number": _POSITIVE,
+    "geometry": st.one_of(
+        st.builds(lambda r, f: _geometry(r, f * r), _POSITIVE, st.floats(0.05, 0.95)),
+        st.builds(_geometry, _POSITIVE, _POSITIVE)),
+    "mu_contrast": _SIGNED,
+    "tau_grid": _grid(_POSITIVE, 4),
+    "t_grid": _grid(_SIGNED, 2),
+    "truncation_degree": st.integers(1, 40),
+}
+
+
+@st.composite
+def _fuzzed_config(draw):
+    """BASE's six directions with any set of keys taken wild."""
+    wild = draw(st.sets(st.sampled_from(sorted(_WILD))))
+    doc = dict(BASE, problem=draw(st.sampled_from(["pec", "transmission", "empty"])))
+    for key in sorted(_DESK):
+        doc[key] = draw(_WILD[key] if key in wild else _DESK[key])
+    mu_contrast = doc.pop("mu_contrast")
+    if doc["problem"] == "transmission":
+        doc["medium"] = {"mu_contrast": mu_contrast}
+    return doc
+
+
+# no shrink phase: a hang would cost its alarm on every shrinking attempt
+@settings(derandomize=True, database=None, deadline=None, max_examples=400,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(command=st.sampled_from(["sweep", "reconstruct"]), doc=_fuzzed_config())
+def test_exit_code_contract(tmp_path_factory, command, doc):
+    """Wave number, radii, mu contrast, grids and degree from 1e-300 to
+    1e300, on six directions at L <= 40: each run exits 0, 2, 3 or 4
+    within 1 s, writes only prefixed lines to stderr and raises no
+    floating-point warning."""
+    out = tmp_path_factory.mktemp("contract")
+    config = write_config(out, doc)
+    rc, lines, caught = _run_main([command, "--config", config, "--out", str(out)], 1.0)
+    assert rc in (0, 2, 3, 4), lines
+    assert all(line.startswith(_STDERR_PREFIXES) for line in lines), lines
+    assert caught == [], caught

@@ -122,9 +122,9 @@ def test_transmission_entries_match_ode_oracle(mu_c):
 
 def test_pec_small_obstacle_limit():
     op_small = solution_pec(K, Geometry(1e-3, 1.0), 5).operator
-    op_empty = solution_empty(K, 1.0, 5).operator
-    rel = np.abs(op_small.lam[:, 1:6] - op_empty.lam[:, 1:6]) \
-        / np.abs(op_empty.lam[:, 1:6])
+    empty = solution_empty(K, 1.0, 5).operator
+    rel = np.abs(op_small.lam[:, 1:6] - empty.lam[:, 1:6]) \
+        / np.abs(empty.lam[:, 1:6])
     assert np.max(rel) < 1e-6
 
 
@@ -185,6 +185,14 @@ def test_operator_difference_never_underflows_silently():
     # PEC at the benchmark's degree is far from the edge (smallest entry 1.6e-60)
     diff = solution_pec(1.0, geom, 96).operator.diff_empty
     assert np.all(diff[:, 1:] != 0.0) and np.min(np.abs(diff[:, 1:])) > 1e-70
+
+
+def test_empty_ball_past_the_double_range_does_not_warn():
+    """At k R = 1e-8 the radial functions of degrees 32 to 34 are
+    subnormal: those entries of the empty map are not finite, without a
+    floating-point warning, and its operator difference stays zero."""
+    op = solution_empty(1e-8, 1.0, 39).operator
+    assert not np.all(np.isfinite(op.lam)) and np.all(op.diff_empty == 0)
 
 
 def test_guard_rejects_non_finite_determinants():

@@ -9,7 +9,7 @@ from enclosure.conventions import POL_U, POL_V, TE, TM
 from enclosure.errors import TruncationInsufficient
 from enclosure.forward import (Geometry, Medium, solution_empty, solution_pec,
                                solution_transmission)
-from enclosure.indicator import (IndicatorEngine, IndicatorTable, SweepConfig,
+from enclosure.indicator import (IndicatorEngine, IndicatorTable, _degree_sum,
                                  _legendre_derivatives, _trace_weights,
                                  auto_degree,
                                  cgo_trace, indicator_value, trace_energies,
@@ -128,11 +128,21 @@ def test_auto_degree_rule():
 # indicator values
 
 
+def test_degree_sum_of_subnormal_terms():
+    """Terms below the normal range still sum: the power-of-two rescale
+    stops at 2**1021, where 2**-nbits would leave the double range."""
+    dlam = np.ones((2, 3), dtype=complex)
+    energies = np.zeros((2, 3))
+    energies[POL_U] = 1e-320
+    mantissa, exponent = _degree_sum(dlam, 1.0, 1.0, 1.0, energies, 0.0)
+    assert 0.5 <= abs(mantissa) < 1.0
+    assert abs(math.log(abs(mantissa)) + exponent - math.log(3e-320)) < 1e-3
+
+
 def test_empty_difference_gives_exact_zero():
-    L = 24
-    op_e = solution_empty(K, 1.0, L).operator
+    op_e = solution_empty(K, 1.0, 24).operator
     probe = build_probe(K, 6.0, 0.3, RHO, CgoMode.IMPENETRABLE)
-    val = indicator_value(op_e, op_e, probe)
+    val = indicator_value(op_e, probe)
     assert val.is_zero
     assert val.ln_abs() == -math.inf
 
@@ -140,11 +150,10 @@ def test_empty_difference_gives_exact_zero():
 def test_scaling_identity_exact():
     L = 40
     sol = solution_pec(K, GEOM, L)
-    op_e = solution_empty(K, 1.0, L).operator
     for tau in (8.0, 14.0):
         p = build_probe(K, tau, 0.25, RHO, CgoMode.IMPENETRABLE)
-        i1 = indicator_value(sol.operator, op_e, p)
-        i2 = indicator_value(sol.operator, op_e, p.with_t(0.85))
+        i1 = indicator_value(sol.operator, p)
+        i2 = indicator_value(sol.operator, p.with_t(0.85))
         shifted = i1.scale_exp(2.0 * tau * (0.25 - 0.85))
         rel = (i2 - shifted).abs() / i2.abs()
         assert rel < 1e-12
@@ -154,9 +163,8 @@ def test_pec_energy_identity():
     """Boundary indicator vs Lemma-structure volume assembly, tau = 15."""
     L = 48
     sol = solution_pec(K, GEOM, L)
-    op_e = solution_empty(K, 1.0, L).operator
     probe = build_probe(K, 15.0, 0.0, RHO, CgoMode.IMPENETRABLE)
-    bdry = indicator_value(sol.operator, op_e, probe).to_complex()
+    bdry = indicator_value(sol.operator, probe).to_complex()
     vol = volume_indicator_pec(probe, GEOM, sol.operator, solution=sol)
     assert abs(bdry.real - vol) < 1e-3 * abs(vol)
     assert abs(bdry.imag) < 1e-6 * abs(vol)
@@ -166,9 +174,8 @@ def test_pec_energy_inequality():
     """-I/tau >= int_D(|curl H0|^2 - k^2|H0|^2) - k^2 int |H~|^2 (eq. chain)."""
     L = 40
     sol = solution_pec(K, GEOM, L)
-    op_e = solution_empty(K, 1.0, L).operator
     probe = build_probe(K, 10.0, 0.2, RHO, CgoMode.IMPENETRABLE)
-    lhs = -indicator_value(sol.operator, op_e, probe).to_complex().real / probe.tau
+    lhs = -indicator_value(sol.operator, probe).to_complex().real / probe.tau
 
     tr = get_transform(L)
     trace, _ = cgo_trace(probe, 1.0, L, tr)
@@ -200,9 +207,8 @@ def test_transmission_energy_identity_and_inequality():
     L = 48
     med = Medium(0.5)     # mu inside = 0.5, 1 - mu > 0
     sol = solution_transmission(K, GEOM, med, L)
-    op_e = solution_empty(K, 1.0, L).operator
     probe = build_probe(K, 10.0, 0.0, RHO, CgoMode.PENETRABLE)
-    bdry = indicator_value(sol.operator, op_e, probe).to_complex()
+    bdry = indicator_value(sol.operator, probe).to_complex()
     vol = volume_indicator_transmission(probe, GEOM, med, sol.operator, solution=sol)
     assert abs(bdry.real - vol) < 1e-3 * abs(vol)
 
@@ -244,9 +250,8 @@ def test_transmission_energy_identity_at_shipped_degree(tau):
     L = 64
     med = Medium(0.5)
     sol = solution_transmission(K, GEOM, med, L)
-    op_e = solution_empty(K, 1.0, L).operator
     probe = build_probe(K, tau, 0.0, RHO, CgoMode.PENETRABLE)
-    bdry = indicator_value(sol.operator, op_e, probe).to_complex()
+    bdry = indicator_value(sol.operator, probe).to_complex()
     vol = volume_indicator_transmission(probe, GEOM, med, sol.operator, solution=sol)
     assert abs(bdry.real - vol) < 1e-9 * abs(vol)
 
@@ -269,9 +274,8 @@ def test_transmission_zero_contrast_identity_trivial():
     L = 32
     med = Medium(0.0)
     sol = solution_transmission(K, GEOM, med, L)
-    op_e = solution_empty(K, 1.0, L).operator
     probe = build_probe(K, 8.0, 0.0, RHO, CgoMode.PENETRABLE)
-    val = indicator_value(sol.operator, op_e, probe)
+    val = indicator_value(sol.operator, probe)
     assert val.is_zero
     vol = volume_indicator_transmission(probe, GEOM, med, sol.operator, solution=sol)
     from enclosure.cgo import cgo_volume_norms
@@ -285,10 +289,9 @@ def test_indicator_truncation_invariance():
     vals = []
     for L in (48, 56):
         sol = solution_pec(K, GEOM, L)
-        op_e = solution_empty(K, 1.0, L).operator
         trace, tail = cgo_trace(probe, 1.0, L)
         assert tail < 1e-8
-        vals.append(indicator_value(sol.operator, op_e, probe, trace=trace))
+        vals.append(indicator_value(sol.operator, probe, trace=trace))
     rel = abs(math.exp(vals[0].ln_abs() - vals[1].ln_abs()) - 1.0)
     assert rel < 1e-6
 
@@ -297,18 +300,25 @@ def test_indicator_truncation_invariance():
 # sweeps
 
 
+def _engine(L, medium=None):
+    """The engine of the PEC ball without a medium, of the mu jump with
+    one, each read by its own probe family."""
+    if medium is None:
+        return IndicatorEngine(solution_pec(K, GEOM, L).operator, CgoMode.IMPENETRABLE)
+    return IndicatorEngine(solution_transmission(K, GEOM, medium, L).operator,
+                           CgoMode.PENETRABLE)
+
+
 def test_t_sweep_is_affine_in_t():
-    cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=40)
-    eng = IndicatorEngine(cfg)
+    eng = _engine(40)
     lns = eng.sweep([RHO], [12.0], [0.0, 0.25, 0.5, 0.75, 1.0]).ln_abs()[0, :, 0]
     slopes = np.diff(lns) / 0.25
     assert np.max(np.abs(slopes + 2.0 * 12.0)) < 1e-9
 
 
 def test_tau_sweep_dichotomy_signs():
-    cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=56)
     taus = [10.0, 14.0, 18.0, 22.0, 26.0]
-    eng = IndicatorEngine(cfg)
+    eng = _engine(56)
     d_above = np.diff(eng.sweep([RHO], taus, [0.7]).ln_abs()[0, 0])
     d_below = np.diff(eng.sweep([RHO], taus, [0.3]).ln_abs()[0, 0])
     assert np.all(d_above < 0)          # decay above the support level
@@ -316,9 +326,8 @@ def test_tau_sweep_dichotomy_signs():
 
 
 def test_slope_sign_stability_near_support():
-    cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=56)
     taus = np.linspace(10.0, 30.0, 9)
-    eng = IndicatorEngine(cfg)
+    eng = _engine(56)
     for t, sign in ((0.6, -1.0), (0.4, +1.0)):
         lns = eng.sweep([RHO], taus, [t]).ln_abs()[0, 0]
         slopes = np.diff(lns) / np.diff(taus)
@@ -326,8 +335,7 @@ def test_slope_sign_stability_near_support():
 
 
 def test_engine_trust_diagnostics():
-    cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=40)
-    eng = IndicatorEngine(cfg)
+    eng = _engine(40)
     table = eng.sweep([RHO], [10.0, 40.0], [0.0])   # 40 is far beyond L=40
     assert table.trusted[0, 0, 0] and table.tail[0, 0, 0] < 1e-8
     assert not table.trusted[0, 0, 1]
@@ -372,8 +380,8 @@ def test_ln_abs_is_the_scalar_arithmetic_of_scaled_complex():
 def test_empty_problem_sweeps_to_zero():
     """No obstacle: every value is the exact zero (mantissa 0, exponent 0)
     and ln|I| is the -inf sentinel, on every direction."""
-    cfg = SweepConfig(problem="empty", geometry=GEOM, k=K, L=24)
-    table = IndicatorEngine(cfg).sweep([RHO, -RHO], [5.0, 6.0], [0.5, 0.7])
+    eng = IndicatorEngine(solution_empty(K, 1.0, 24).operator, CgoMode.IMPENETRABLE)
+    table = eng.sweep([RHO, -RHO], [5.0, 6.0], [0.5, 0.7])
     assert np.all(table.mantissa == 0) and np.all(table.exponent == 0.0)
     ln = np.broadcast_to(table.ln_abs(), table.shape)
     assert ln.shape == (2, 2, 2) and np.all(ln == -math.inf)
@@ -385,12 +393,11 @@ def test_empty_problem_sweeps_to_zero():
 def test_translation_shifts_each_exponent_by_the_scalar_product():
     """The exponent shift is 2 tau float(c @ rho), bit for bit, per
     direction: the arithmetic of a one-sample translation."""
-    cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=48)
     rng = np.random.default_rng(2)
     rhos = rng.standard_normal((12, 3))
     rhos /= np.linalg.norm(rhos, axis=1)[:, None]
     taus, c = [10.0, 12.5, 17.25, 30.0], rng.uniform(-0.2, 0.2, 3)
-    table = IndicatorEngine(cfg).sweep(rhos, taus, [0.3, 0.7])
+    table = _engine(48).sweep(rhos, taus, [0.3, 0.7])
     shifted = synth_translated(table, c)
     assert shifted.exponent.shape == table.shape
     assert np.array_equal(shifted.mantissa, table.mantissa)
@@ -403,8 +410,8 @@ def test_translation_shifts_each_exponent_by_the_scalar_product():
 
 def reference_indicator_sum(engine, probe, energies, ln_scale):
     """The Parseval sum as L per-degree ScaledComplex additions."""
-    dlam = engine.op_d.diff_empty
-    pref = 1j * probe.k * probe.tau * engine.op_d.r_domain**2
+    dlam = engine.op.diff_empty
+    pref = 1j * probe.k * probe.tau * engine.op.r_domain**2
     terms = pref * (np.conj(dlam[TE]) * energies[POL_U]
                     - np.conj(dlam[TM]) * energies[POL_V])
     total = ScaledComplex.zero()
@@ -414,13 +421,11 @@ def reference_indicator_sum(engine, probe, energies, ln_scale):
     return total
 
 
-@pytest.mark.parametrize("problem", ["pec", "transmission"])
-def test_indicator_value_matches_per_degree_sum(problem):
+@pytest.mark.parametrize("medium", [None, Medium(0.5)], ids=["pec", "transmission"])
+def test_indicator_value_matches_per_degree_sum(medium):
     """Both callers of the rescaled sum against the per-degree sum: the
     engine on closed-form energies, indicator_value on a VSH trace."""
-    cfg = SweepConfig(problem=problem, geometry=GEOM, k=K, L=64,
-                      medium=Medium(0.5) if problem == "transmission" else None)
-    eng = IndicatorEngine(cfg)
+    eng = _engine(64, medium)
     rho = np.array([0.6, 0.0, 0.8])
     transform = get_transform(eng.L)
 
@@ -433,12 +438,12 @@ def test_indicator_value_matches_per_degree_sum(problem):
         for j, t in enumerate(table.ts):
             value = ScaledComplex(complex(table.mantissa[0, j, 0]),
                                   float(table.exponent[0, j, 0]))
-            probe = build_probe(K, tau, t, rho, cfg.mode())
+            probe = build_probe(K, tau, t, rho, eng.mode)
             ln_scale = tau * (GEOM.r_domain - t)
-            energies = trace_energies(K, tau, cfg.mode(), GEOM.r_domain, eng.L)
+            energies = trace_energies(K, tau, eng.mode, GEOM.r_domain, eng.L)
             assert_close(value, reference_indicator_sum(eng, probe, energies, ln_scale))
             trace, _ = cgo_trace(probe, GEOM.r_domain, eng.L, transform)
-            assert_close(indicator_value(eng.op_d, eng.op_empty, probe, trace=trace),
+            assert_close(indicator_value(eng.op, probe, trace=trace),
                          reference_indicator_sum(eng, probe, trace.degree_energies(),
                                                  trace.ln_scale))
 
@@ -447,8 +452,7 @@ def test_indicator_direction_independent_at_high_tau():
     """For the concentric ball the indicator does not depend on rho; the
     engine shares one value per (tau, t) across directions.  The probe-based
     check of that invariance is `test_trace_energies_match_transform`."""
-    cfg = SweepConfig(problem="pec", geometry=GEOM, k=K, L=96)
-    eng = IndicatorEngine(cfg)
+    eng = _engine(96)
     rng = np.random.default_rng(3)
     table = eng.sweep(rng.standard_normal((16, 3)), [50.0], [0.5])
     lns = np.broadcast_to(table.ln_abs(), table.shape)

@@ -5,13 +5,19 @@ import numpy as np
 import pytest
 
 from enclosure.errors import InsufficientTrustedSamples
-from enclosure.forward import Geometry, Medium
-from enclosure.indicator import IndicatorEngine, IndicatorTable, SweepConfig
+from enclosure.cgo import CgoMode
+from enclosure.forward import Geometry, Medium, solution_pec, solution_transmission
+from enclosure.indicator import IndicatorEngine, IndicatorTable
 from enclosure.recon import (directions_axes26, directions_fibonacci,
                              estimate_support, reconstruct_hull,
                              synth_translated)
 
 RHO = np.array([0.0, 0.0, 1.0])
+
+
+def _pec_engine():
+    return IndicatorEngine(solution_pec(1.0, Geometry(0.5, 1.0), 64).operator,
+                           CgoMode.IMPENETRABLE)
 
 
 def synthetic_sweep(fn, taus=np.linspace(10.0, 30.0, 11), rho=RHO):
@@ -86,17 +92,15 @@ def test_planted_affine_recovered_exactly():
 
 
 def test_estimate_support_pec_ball():
-    cfg = SweepConfig(problem="pec", geometry=Geometry(0.5, 1.0), k=1.0, L=64)
-    eng = IndicatorEngine(cfg)
+    eng = _pec_engine()
     taus = np.linspace(15.0, 30.0, 8)
     for est in estimate_support(eng.sweep(directions_axes26()[:4], taus, [0.0])):
         assert abs(est.h_hat - 0.5) <= 0.05
 
 
 def test_estimate_support_transmission_ball():
-    cfg = SweepConfig(problem="transmission", geometry=Geometry(0.5, 1.0),
-                      k=1.0, medium=Medium(0.5), L=64)
-    eng = IndicatorEngine(cfg)
+    op = solution_transmission(1.0, Geometry(0.5, 1.0), Medium(0.5), 64).operator
+    eng = IndicatorEngine(op, CgoMode.PENETRABLE)
     taus = np.linspace(15.0, 30.0, 8)
     [est] = estimate_support(eng.sweep([RHO], taus, [0.0]))
     assert abs(est.h_hat - 0.5) <= 0.05
@@ -104,8 +108,7 @@ def test_estimate_support_transmission_ball():
 
 def test_monotone_refinement_of_fit_window():
     """Raising the tau ceiling must not worsen the estimate beyond its CI."""
-    cfg = SweepConfig(problem="pec", geometry=Geometry(0.5, 1.0), k=1.0, L=64)
-    eng = IndicatorEngine(cfg)
+    eng = _pec_engine()
     taus_small = np.linspace(10.0, 24.0, 8)
     taus_big = np.linspace(10.0, 30.0, 11)
     [e1] = estimate_support(eng.sweep([RHO], taus_small, [0.0]))
@@ -208,8 +211,7 @@ def test_translation_equivariance_of_estimate():
 
 
 def test_translated_pipeline_recovers_shifted_support():
-    cfg = SweepConfig(problem="pec", geometry=Geometry(0.5, 1.0), k=1.0, L=64)
-    eng = IndicatorEngine(cfg)
+    eng = _pec_engine()
     taus = np.linspace(15.0, 30.0, 8)
     c = np.array([0.2, 0.0, 0.0])
     for rho in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]):
@@ -236,8 +238,7 @@ def test_reconstruct_hull_from_exact_ball_support():
 
 def test_hull_contains_shrunk_truth_ball():
     """The true ball shrunk by the tolerance margin lies inside the hull."""
-    cfg = SweepConfig(problem="pec", geometry=Geometry(0.5, 1.0), k=1.0, L=64)
-    eng = IndicatorEngine(cfg)
+    eng = _pec_engine()
     taus = np.linspace(15.0, 30.0, 8)
     ests = estimate_support(eng.sweep(directions_axes26(), taus, [0.0]))
     mesh, report = reconstruct_hull(ests, truth_support=lambda rho: 0.5)

@@ -14,6 +14,16 @@ def test_normalization_invariant():
     assert z.mantissa == 0 and z.exponent == 0.0
 
 
+def test_subnormal_mantissa_normalizes():
+    """2**-nbits of a subnormal magnitude is past the double range; the
+    mantissa is lifted into the normal range first.  A subnormal carries
+    about 4 digits, and abs() of one rounds there."""
+    for m in (1e-320 - 3e-321j, 5e-324):
+        s = scaled(m, 4.0)
+        assert 0.5 <= abs(s.mantissa) < 1.0
+        assert abs(s.ln_abs() - (math.log(abs(m)) + 4.0)) < 1e-4
+
+
 def test_zero_identities():
     z = ScaledComplex.zero()
     a = scaled(1.5 + 0.5j, 3.0)
