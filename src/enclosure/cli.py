@@ -20,15 +20,24 @@ import json
 import os
 import sys
 
-import numpy as np
+# One OpenBLAS thread unless the user chose a count.  The run path is bound
+# by the GIL and its largest BLAS product is 3 wide, so the default pool
+# adds only a second thread that spins for the whole command.  The count is
+# read when numpy loads: a process that loaded numpy first keeps its pool.
+if "numpy" not in sys.modules and not any(
+        name in os.environ
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .config import RunConfig, load_config
-from .errors import (ConfigError, Infeasible, InsufficientTrustedSamples,
+import numpy as np  # noqa: E402
+
+from .config import RunConfig, load_config  # noqa: E402
+from .errors import (ConfigError, Infeasible, InsufficientTrustedSamples,  # noqa: E402
                      NearEigenvalue, NearInteriorEigenvalue, PoleAtZero,
                      QuadratureUnderResolved, RadialOverflow,
                      TruncationInsufficient, Unbounded)
-from .indicator import IndicatorEngine
-from .recon import estimate_support, reconstruct_hull, synth_translated
+from .indicator import IndicatorEngine  # noqa: E402
+from .recon import estimate_support, reconstruct_hull, synth_translated  # noqa: E402
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1

@@ -12,7 +12,9 @@ class ZeroVector(EnclosureError):
 
 
 class PoleAtZero(EnclosureError):
-    """Spherical Neumann/Hankel function requested at z = 0."""
+    """A pole at zero reached: a spherical Neumann/Hankel function at z = 0,
+    or CGO trace weights (which divide by k^4) at a wave number so small
+    that they leave the double range."""
 
 
 class NotTangential(EnclosureError):

@@ -16,13 +16,14 @@ assemblies live here as independent computation paths.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cgo import CgoMode, CgoProbe, _ball_lq_integrals, eval_cgo_batch
 from .conventions import POL_U, POL_V, TE, TM
-from .errors import QuadratureUnderResolved, TruncationInsufficient
+from .errors import PoleAtZero, QuadratureUnderResolved, TruncationInsufficient
 from .forward import (FieldSolution, Geometry, ImpedanceOperator, Medium,
                       solution_pec, solution_transmission)
 from .mathkit import ScaledComplex, VshCoeffs, normalize
@@ -167,8 +168,11 @@ def _trace_weights(k: float, tau: float, mode: CgoMode):
     """(a, b) = (|u|^2 / k^2, |u.conj(zeta)|^2 / k^4), u = w x zeta, of the
     U and then the V energies: rotation invariants of the probe, fixed by
     (k, tau, mode).  |eta|^2 is k^2 for the impenetrable probe and
-    k^2 (1 + 2 k^2 tau^2 / |zeta|^4) for the penetrable one."""
+    k^2 (1 + 2 k^2 tau^2 / |zeta|^4) for the penetrable one.  Raises
+    PoleAtZero when k^4 underflows: the weights have a pole at k = 0."""
     k2, zeta2 = k * k, 2.0 * tau * tau + k * k
+    if k2 * k2 < sys.float_info.min:
+        raise PoleAtZero(f"the trace weights divide by k^4, which underflows at k = {k:.3g}")
     tilt = 4.0 * tau * tau * (tau * tau + k2) / (k2 * k2)
     if mode is CgoMode.IMPENETRABLE:
         return (k2, 0.0), (zeta2, k2 * tilt)
@@ -190,13 +194,20 @@ def trace_energies(k: float, tau: float, mode: CgoMode, r_domain: float, L: int,
     complex wave vector zeta and differentiated along u = w x zeta and
     conj(u); no direction enters.  Each degree costs O(1) and the result is
     exact.  `radial` is `trace_radial_logs(k, r_domain, L)`, computed here
-    if None.
+    if None.  Raises PoleAtZero when k is so small next to tau that the
+    weights or a P_l' + b P_l'' leave the double range.
     """
     if radial is None:
         radial = trace_radial_logs(k, r_domain, L)
+    weights = _trace_weights(k, tau, mode)
     d1, d2, ln_shift = _legendre_derivatives((2.0 * tau * tau + k * k) / (k * k), L)
+    # a, b, d1 and d2 are >= 0: a max(d1) + b max(d2) bounds every a d1 + b d2
+    top1, top2 = float(np.max(d1)), float(np.max(d2))
+    if not all(math.isfinite(a * top1 + b * top2) for a, b in weights):
+        raise PoleAtZero(f"the trace weights at tau / k = {tau / k:.3g} "
+                         "leave the double range")
     out = np.zeros((2, L + 1))
-    for pol, (a, b) in zip((POL_U, POL_V), _trace_weights(k, tau, mode)):
+    for pol, (a, b) in zip((POL_U, POL_V), weights):
         out[pol, 1:] = np.exp(radial[pol, 1:] + ln_shift - 2.0 * tau * r_domain
                               + np.log(a * d1 + b * d2))
     return out
@@ -252,7 +263,11 @@ class IndicatorEngine:
         """The indicator at every (direction, t, tau).  The concentric
         indicator depends on (tau, t) alone: one set of trace energies per
         tau and one value per (tau, t), computed at shape (1, t, tau) and
-        shared by every direction."""
+        shared by every direction.
+
+        A sample is trusted when its tail is within tolerance and ln|I| is
+        finite.  A trace whose energies all underflow has a tail of 0 but
+        gives I = 0, so it is not trusted."""
         op, R = self.op, self.op.r_domain
         taus = np.array(taus, dtype=float)
         ts = np.array(ts, dtype=float)
@@ -265,9 +280,10 @@ class IndicatorEngine:
             for j, t in enumerate(ts.tolist()):
                 mantissa[0, j, k], exponent[0, j, k] = _degree_sum(
                     op.diff_empty, op.k, tau, R, energies, 2.0 * (tau * (R - t)))
+        trusted = (tail <= self.tail_tol) & (mantissa != 0)
         return IndicatorTable(rhos=np.asarray(rhos, dtype=float), taus=taus, ts=ts,
                               mantissa=mantissa, exponent=exponent, tail=tail,
-                              trusted=tail <= self.tail_tol)
+                              trusted=trusted)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,10 @@ _CONE_TOL = 1e-12          # recession-cone test on unit directions
 _SLACK_TOL = 1e-12         # minimum interior slack at the vertex mean
 _GROWTH, _MAX_GROWTH_STEPS = 16.0, 8
 _CONE_CHUNK = 1 << 18      # entries of R @ D per recession-cone block
+# entries of V @ R^T per violation block: OpenBLAS computes m n k <= 2^18
+# on one thread; with blocks of a multiple of 8 rows, each entry rounds as
+# in one full product on OpenBLAS 0.3.31 at an even number of planes
+_VIOLATION_BLOCK = 1 << 16
 
 # the cube [-1, 1]^3: corners, and faces counter-clockwise about their
 # outward normals
@@ -91,9 +95,19 @@ class HullMesh:
         return float(np.max(self.vertices @ d))
 
     def max_constraint_violation(self) -> float:
+        """max(0, max of rho . v - h over vertices v and planes (rho, h)),
+        over blocks of vertices: no (vertices x planes) matrix is made.
+        Up to 10,922 planes each block runs on one BLAS thread, so the
+        result does not depend on the thread count."""
         rhos = np.array([r for r, _ in self.source_directions])
         hs = np.array([h for _, h in self.source_directions])
-        return max(0.0, float(np.max(self.vertices @ rhos.T - hs)))
+        step = max(8, _VIOLATION_BLOCK // len(hs) // 8 * 8)
+        worst = 0.0
+        for lo in range(0, len(self.vertices), step):
+            s = self.vertices[lo:lo + step] @ rhos.T
+            s -= hs
+            worst = max(worst, float(s.max()))
+        return worst
 
 
 def _recession_cone_is_zero(rhos: np.ndarray) -> bool:

@@ -347,6 +347,17 @@ def test_sweep_empty_problem_emits_inf_sentinel(tmp_path):
         assert cols[5] == "0" and cols[6] == "0"
 
 
+def test_sweep_underflowed_trace_is_not_trusted(tmp_path):
+    """At L = 4 and taus 400 and 500 every e^{-2 tau R}-scaled trace energy
+    is 0.0, so the tail reads 0 and ln|I| is -inf: no row is trusted."""
+    doc = dict(BASE, tau_grid=[400.0, 500.0], t_grid=[0.0], truncation_degree=4)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 12
+    assert all(row[8:] == ["-inf", "0", "0"] for row in rows)
+
+
 def test_sweep_17_digit_roundtrip(tmp_path):
     cfgp = write_config(tmp_path, BASE)
     out = tmp_path / "out"
@@ -447,11 +458,19 @@ def test_sweep_radial_overflow_exit_3(tmp_path, capsys, label, doc):
 
 
 # a wave number or obstacle so small that the radial functions leave the
-# double range at degree 1, or y_l meets its pole at z = 0
+# double range at degree 1, or y_l meets its pole at z = 0, or, under a tiny
+# eigen_guard, the trace weights meet theirs: k^4 underflows at k = 1e-100,
+# and at k = 1e-76 the weights leave the double range by tau = 10
+_NO_GUARD = {"eigen_guard": 1e-300}
 TINY_CONFIGS = [
     ("k=1e-300", dict(BASE, wave_number=1e-300)),
     ("k=1e-200", dict(BASE, wave_number=1e-200)),
     ("r_obstacle=1e-200", dict(BASE, geometry={"r_obstacle": 1e-200, "r_domain": 1.0})),
+    ("empty k=1e-100", dict(BASE, problem="empty", geometry={"r_domain": 1.0},
+                            wave_number=1e-100, truncation_degree=2,
+                            tolerances=_NO_GUARD)),
+    ("pec k=1e-76", dict(BASE, wave_number=1e-76, truncation_degree=2,
+                         tolerances=_NO_GUARD)),
 ]
 
 
@@ -675,6 +694,8 @@ _DESK = {
                                        "count": st.integers(5, 7)}),
     "t_grid": st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=2).map(sorted),
     "truncation_degree": st.integers(30, 40),
+    "tolerances": st.fixed_dictionaries({"trace_tail": st.floats(1e-9, 1e-7),
+                                         "eigen_guard": st.floats(1e-11, 1e-9)}),
 }
 # ... or anywhere from 1e-300 to 1e300
 _WILD = {
@@ -686,6 +707,8 @@ _WILD = {
     "tau_grid": _grid(_POSITIVE, 4),
     "t_grid": _grid(_SIGNED, 2),
     "truncation_degree": st.integers(1, 40),
+    "tolerances": st.fixed_dictionaries({"trace_tail": _POSITIVE,
+                                         "eigen_guard": _POSITIVE}),
 }
 
 
@@ -707,8 +730,8 @@ def _fuzzed_config(draw):
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(command=st.sampled_from(["sweep", "reconstruct"]), doc=_fuzzed_config())
 def test_exit_code_contract(tmp_path_factory, command, doc):
-    """Wave number, radii, mu contrast, grids and degree from 1e-300 to
-    1e300, on six directions at L <= 40: each run exits 0, 2, 3 or 4
+    """Wave number, radii, mu contrast, grids, degree and tolerances from
+    1e-300 to 1e300, on six directions at L <= 40: each run exits 0, 2, 3 or 4
     within 1 s, writes only prefixed lines to stderr and raises no
     floating-point warning."""
     out = tmp_path_factory.mktemp("contract")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,24 @@ def test_watertight_triangulation():
     # Euler characteristic of a sphere
     ne = len(edges)
     assert len(mesh.vertices) - ne + len(mesh.faces) == 2
+
+
+def test_max_constraint_violation_in_bounded_memory():
+    """At 2000 planes the full (vertices x planes) product took 128 MB; the
+    blocks stay under 16 MB and still reach the last vertex."""
+    dirs = directions_fibonacci(2000)
+    mesh = halfspace_hull([(d, 0.5) for d in dirs])
+    tracemalloc.start()
+    try:
+        exact = mesh.max_constraint_violation()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert 0.0 <= exact < 1e-12
+    mesh.vertices[-1] *= 1.5            # the last vertex now breaks its planes
+    worst = float(np.max(mesh.vertices[-1] @ dirs.T - 0.5))
+    assert mesh.max_constraint_violation() == pytest.approx(worst, rel=1e-12)
 
 
 def test_unbounded_detection():

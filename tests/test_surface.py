@@ -2,7 +2,8 @@
 
 `perfbench/child.py` wraps the functions listed in its `TRACED` table and
 `perfbench/check.py` imports its oracles from the package; a rename there
-fails every benchmark command, so the surface is pinned here.
+fails every benchmark command, so the surface is pinned here.  So is the
+BLAS thread count that `enclosure.cli` chooses before numpy loads.
 """
 
 import ast
@@ -164,3 +165,61 @@ def test_main_imports_nothing_after_the_engine(command, config, tmp_path):
     assert (rc, n_engines) == (0, 1)
     assert loaded == []
     assert not has_ma
+
+
+# the BLAS thread count that `enclosure.cli` chooses before numpy loads
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_LINUX = os.path.isdir("/proc/self/task")
+_THREADS = "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None"
+
+
+def _fresh(code, *argv, **preset):
+    """The JSON of the last stdout line of `python -c code *argv`, run in a
+    fresh interpreter with no BLAS thread variable other than `preset`."""
+    env = {k: v for k, v in _child_env().items() if k not in _BLAS_VARS}
+    env.update(preset)
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                         text=True, env=env, cwd=ROOT, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+@pytest.mark.skipif(not _LINUX, reason="threads are counted in /proc/self/task")
+def test_cli_import_chooses_one_blas_thread():
+    code = ("import json, os; import enclosure.cli; "
+            f"print(json.dumps([{_THREADS}, os.environ.get('OPENBLAS_NUM_THREADS')]))")
+    assert _fresh(code) == [1, "1"]
+
+
+def test_preset_blas_threads_win_and_leave_the_outputs(tmp_path):
+    """A preset OPENBLAS_NUM_THREADS keeps its pool, and `reconstruct`
+    writes the same bytes with it as with the CLI's one thread."""
+    code = ("import json, os, sys; from enclosure.cli import main; "
+            f"rc = main(sys.argv[1:]); print(json.dumps([rc, {_THREADS}]))")
+    config = str(ROOT / "configs" / "pec_ball.json")
+    outputs = []
+    for preset in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        out = tmp_path / f"out{len(outputs)}"
+        rc, threads = _fresh(code, "reconstruct", "--config", config, "--out", str(out),
+                             **preset)
+        assert rc == 0
+        if _LINUX:      # OpenBLAS starts at most one thread per usable CPU
+            assert threads == min(int(preset.get("OPENBLAS_NUM_THREADS", 1)),
+                                  len(os.sched_getaffinity(0)))
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["estimates.csv", "hull.off", "report.txt"]
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_import_after_numpy_leaves_the_environment():
+    code = ("import json, os; import numpy; before = dict(os.environ); "
+            "import enclosure.cli; print(json.dumps(dict(os.environ) == before))")
+    assert _fresh(code) is True
+
+
+def test_package_import_loads_no_numpy_and_other_modules_set_nothing():
+    code = ("import json, os, sys; import enclosure; bare = 'numpy' in sys.modules; "
+            "import enclosure.config, enclosure.indicator, enclosure.recon, "
+            "enclosure.mathkit.hull, enclosure.selftest; "
+            "print(json.dumps([bare, 'numpy' in sys.modules, "
+            "[k for k in os.environ if k in " + repr(_BLAS_VARS) + "]]))")
+    assert _fresh(code) == [False, True, []]
