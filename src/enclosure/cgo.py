@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureUnderResolved
-from .mathkit import Frame, build_frame, cross3, scaled, sphere_quadrature
+from .mathkit import Frame, build_frame, cross3, scaled
 
 
 class CgoMode(enum.Enum):
@@ -132,64 +131,48 @@ def cgo_identity_defect(probe: CgoProbe) -> float:
 # volume norms over a ball (Lq integrals feeding the asymptotic checks)
 
 
-def _ball_lq_integrals(probe: CgoProbe, center, radius, q, n_radial, ang_degree):
-    """Integral of |amp|^q exp(q tau (x.rho - t)) over the ball, peeled.
+def ball_weight(s: float, radius: float) -> float:
+    """Integral of exp(s x.rho) over the ball |x| < radius, times exp(-s radius).
 
-    Returns (ln of the common peel, weight integral) where the true value
-    is weight * exp(q * peel_ln) * |amp|^q for each amplitude.
+    The classical form (4 pi / s^3) (s r cosh(s r) - sinh(s r)), peeled:
+    (2 pi / s^3) [s r (1 + e^{-2 s r}) - (1 - e^{-2 s r})].  Below s r = 0.5,
+    where that difference cancels, it sums the series of
+    (x cosh x - sinh x) / x^3 = sum_{n>=1} 2n x^{2n-2} / (2n+1)!.
     """
-    grid = sphere_quadrature(ang_degree)
-    rx, rw = np.polynomial.legendre.leggauss(n_radial)
-    rr = 0.5 * radius * (rx + 1.0)
-    rw = 0.5 * radius * rw
-    center = np.asarray(center, dtype=float)
-    peel = probe.tau * (center @ probe.frame.rho + radius - probe.t)
-
-    total = 0.0
-    for r, wr in zip(rr, rw):
-        pts = center[None, :] + r * grid.nodes
-        expo = probe.tau * (pts @ probe.frame.rho - probe.t) - peel
-        total += wr * r * r * float(np.sum(grid.weights * np.exp(q * expo)))
-    return peel, total
+    x = s * radius
+    if x < 0.5:
+        x2 = x * x
+        term, series = 1.0 / 3.0, 0.0
+        for n in range(1, 9):
+            series += term
+            term *= x2 / (2 * n * (2 * n + 3))
+        return 4.0 * math.pi * radius**3 * series * math.exp(-x)
+    e = math.exp(-2.0 * x)
+    return 2.0 * math.pi / s**3 * (x * (1.0 + e) - (1.0 - e))
 
 
-def cgo_volume_norms(probe: CgoProbe, ball, q: float = 2.0,
-                     n_radial: int | None = None, check: bool = True):
+def cgo_volume_norms(probe: CgoProbe, ball, q: float = 2.0):
     """L^q norms of (E0, H0, curl H0) over a ball, as scaled reals.
 
-    ball = (center, radius).  The exponential weight is peeled at the ball's
-    maximal x.rho so the quadrature runs on mantissas <= 1.  curl H0 is the
-    analytic symbol (i zeta) x theta times the same exponential.
-
-    Raises QuadratureUnderResolved when doubling the radial rule moves the
-    weight integral by more than 1e-6 relative.
+    ball = (center, radius).  |E0|^q = |eta|^q exp(q tau (x.rho - t)), so
+    each norm is its amplitude times the exact ball weight at s = q tau,
+    peeled at the ball's maximal x.rho.  curl H0 is the analytic symbol
+    (i zeta) x theta times the same exponential.
     """
     if q < 1.0:
         raise ValueError("q must be >= 1")
     center, radius = ball
     if radius <= 0.0:
         raise ValueError("ball radius must be positive")
-    if n_radial is None:
-        n_radial = max(24, int(math.ceil(0.6 * q * probe.tau * radius)) + 10)
-    ang_degree = max(8, int(math.ceil(0.55 * q * probe.tau * radius)) + 8)
-
-    peel, w = _ball_lq_integrals(probe, center, radius, q, n_radial, ang_degree)
-    if check:
-        _, w2 = _ball_lq_integrals(probe, center, radius, q, 2 * n_radial, ang_degree)
-        if abs(w2 - w) > 1e-6 * abs(w2):
-            raise QuadratureUnderResolved(
-                f"radial doubling changed the weight by {abs(w2 - w) / abs(w2):.2e}")
-        w = w2
+    peel = probe.tau * (np.asarray(center, dtype=float) @ probe.frame.rho
+                        + radius - probe.t)
+    ln_scale = math.log(ball_weight(q * probe.tau, radius)) / q + peel
 
     _, curl_h = curl_amplitudes(probe)
-    out = []
-    for amp in (probe.eta, probe.theta, curl_h):
-        amp_norm = float(np.linalg.norm(amp))
-        # ||f||_q = |amp| * (weight)^{1/q} * exp(peel)
-        ln_norm = math.log(amp_norm) + math.log(w) / q + peel
-        out.append(scaled(1.0, ln_norm))
-    return tuple(out)
+    # ||f||_q = |amp| * (peeled weight)^{1/q} * exp(peel)
+    return tuple(scaled(1.0, math.log(float(np.linalg.norm(amp))) + ln_scale)
+                 for amp in (probe.eta, probe.theta, curl_h))
 
 
 __all__ = ["CgoMode", "CgoProbe", "make_zeta", "build_probe", "eval_cgo_batch",
-           "curl_amplitudes", "cgo_identity_defect", "cgo_volume_norms"]
+           "curl_amplitudes", "cgo_identity_defect", "ball_weight", "cgo_volume_norms"]

@@ -40,6 +40,10 @@ MAX_ROWS = 1_000_000           # directions x taus x ts
 MAX_DEGREE = 4096
 _ROW_BYTES = 1024
 _DEGREE_BYTES = 1024
+# A translation c adds 2 tau c.rho to every ln|I|, so rounding takes digits
+# from the fitted support: about 4e-8 R at |c| = 1e6 R (R = r_domain), 3e-5 R
+# at 1e9 R, and from 1e13 R the hull comes out empty.
+MAX_SHIFT = 1e6
 
 
 @dataclass
@@ -193,9 +197,13 @@ def _directions(raw, errors):
                           "of finite numbers")
             return directions_axes26()
         arr = np.asarray(vecs, dtype=float)
-        norms = np.linalg.norm(arr, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(arr, axis=1)
         if np.any(norms < 1e-12):
             errors.append("directions.vectors: zero vector not allowed")
+            return directions_axes26()
+        if not np.all(np.isfinite(norms)):
+            errors.append("directions.vectors: a vector's length overflows a double")
             return directions_axes26()
         return arr / norms[:, None]
     errors.append("directions.kind: must be axes26 | fibonacci | explicit")
@@ -320,6 +328,9 @@ def parse_config(doc: dict) -> RunConfig:
     if tr_raw is not None:
         if not _is_vector3(tr_raw):
             errors.append("translation: must be a 3-vector of finite numbers")
+        elif geometry is not None and max(map(abs, tr_raw)) > MAX_SHIFT * geometry.r_domain:
+            errors.append(f"translation: components must lie within {MAX_SHIFT:g} x "
+                          "geometry.r_domain (a larger shift rounds away the support)")
         else:
             translation = np.asarray(tr_raw, dtype=float)
 

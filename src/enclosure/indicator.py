@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgo import CgoMode, CgoProbe, _ball_lq_integrals, eval_cgo_batch
+from .cgo import CgoMode, CgoProbe, ball_weight, eval_cgo_batch
 from .conventions import POL_U, POL_V, TE, TM
 from .errors import PoleAtZero, QuadratureUnderResolved, TruncationInsufficient
 from .forward import (FieldSolution, Geometry, ImpedanceOperator, Medium,
@@ -292,12 +292,9 @@ class IndicatorEngine:
 
 def _ball_weight(probe: CgoProbe, geometry: Geometry, peel: float) -> float:
     """integral over the obstacle ball of exp(2 tau (x.rho - t) - 2 peel)."""
-    tr_obs = probe.tau * geometry.r_obstacle
-    ang = max(8, int(math.ceil(1.1 * tr_obs)) + 8)
-    n_radial = max(24, int(math.ceil(0.8 * tr_obs)) + 10)
-    ball_peel, w = _ball_lq_integrals(probe, np.zeros(3), geometry.r_obstacle,
-                                      2.0, n_radial, ang)
-    return w * math.exp(2.0 * (ball_peel - peel))
+    r_obs = geometry.r_obstacle
+    ball_peel = probe.tau * (r_obs - probe.t)
+    return ball_weight(2.0 * probe.tau, r_obs) * math.exp(2.0 * (ball_peel - peel))
 
 
 def _volume_side(probe: CgoProbe, geometry: Geometry, op_d: ImpedanceOperator,

@@ -34,7 +34,7 @@ Errors:
 * Infeasible ("empty") when every cube, the last included, is cut empty,
   and ("empty interior") when the minimum slack h - R c at the vertex
   mean c is <= 1e-12.
-* ValueError for fewer than 4 planes with |rho| >= 1e-12.
+* Unbounded also for fewer than 4 planes with |rho| >= 1e-12.
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ def halfspace_hull(planes) -> HullMesh:
     rhos = np.asarray(rhos)
     hs = np.asarray(hs)
     if len(rhos) < 4:
-        raise ValueError("need at least 4 non-degenerate planes")
+        raise Unbounded("need at least 4 non-degenerate planes")
 
     first = 4.0 * max(1.0, float(np.max(np.abs(hs))))
     frames = build_frames(rhos)

@@ -269,12 +269,6 @@ class VshTransform:
 
     # ---- scalar transform (radial components, surface divergences) ----
 
-    def analyze_scalar(self, values: np.ndarray) -> np.ndarray:
-        """Scalar Y_lm coefficients, shape (L+1, 2L+1)."""
-        F = self._fft_modes(np.asarray(values, dtype=complex))
-        prod = _table_times(self.P, self._order_columns(F))   # (L+1, L+1, 2)
-        return self._dense(prod[..., 0], self.neg_sign[:, None] * prod[..., 1])
-
     def synth_scalar(self, carr: np.ndarray) -> np.ndarray:
         L = self.L
         rows = np.stack([carr[:, L:].T, carr[:, L::-1].T], axis=1)

@@ -1,12 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from enclosure.cgo import (CgoMode, build_probe, cgo_identity_defect,
                            cgo_volume_norms, curl_amplitudes, eval_cgo_batch,
                            make_zeta)
-from enclosure.errors import QuadratureUnderResolved
 from enclosure.mathkit import Frame, build_frame
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -15,14 +15,25 @@ E3 = np.array([0.0, 0.0, 1.0])
 FRAME_Z_X = Frame(rho=E3, rho_perp=E1, rho_cross=np.cross(E3, E1))
 
 
-def ball_weight_closed_form(beta, radius):
-    """integral over the ball |x| < a of exp(beta . x) dx, |beta| = b.
+def ln_ball_integral_mp(s, center_shift, radius):
+    """ln of the integral of exp(s (x.rho - t)) over a ball of the given
+    radius whose centre lies at x.rho - t = center_shift, in 40-digit mpmath.
 
-    Classical closed form (4 pi / b^3)(b a cosh(b a) - sinh(b a)).
+    Sliced along rho, the disc at height z has area pi (radius^2 - z^2).
     """
-    b = float(np.linalg.norm(beta))
-    ba = b * radius
-    return 4.0 * math.pi / b**3 * (ba * math.cosh(ba) - math.sinh(ba))
+    with mpmath.workdps(40):
+        s, r = mpmath.mpf(s), mpmath.mpf(radius)
+        total = mpmath.quad(lambda z: mpmath.pi * (r * r - z * z) * mpmath.exp(s * z),
+                            [-r, 0, r])
+        return mpmath.log(total) + s * mpmath.mpf(center_shift)
+
+
+def ln_norm_mp(amp, q, tau, center_shift, radius):
+    """ln ||amp exp(tau (x.rho - t))||_q over the ball, in mpmath."""
+    with mpmath.workdps(40):
+        amp_norm = mpmath.sqrt(mpmath.fsum(abs(mpmath.mpc(a)) ** 2 for a in amp))
+        return mpmath.log(amp_norm) + ln_ball_integral_mp(q * tau, center_shift,
+                                                          radius) / q
 
 
 # ---------------------------------------------------------------------------
@@ -188,28 +199,40 @@ def test_volume_norms_against_closed_form():
     center, radius = np.array([0.1, 0.0, 0.2]), 0.5
     p = build_probe(k, tau, t, [0.0, 0.0, 1.0], CgoMode.IMPENETRABLE)
     ne, nh, nc = cgo_volume_norms(p, (center, radius), q=2.0)
-    w = ball_weight_closed_form(2.0 * tau * p.frame.rho, radius)
-    w *= math.exp(2.0 * tau * (center @ p.frame.rho - t))
+    shift = center @ p.frame.rho - t
     for norm, amp in ((ne, p.eta), (nh, p.theta), (nc, curl_amplitudes(p)[1])):
-        ref_ln = math.log(np.linalg.norm(amp)) + 0.5 * math.log(w)
+        ref_ln = float(ln_norm_mp(amp, 2.0, tau, shift, radius))
         assert abs(norm.ln_abs() - ref_ln) < 1e-8
 
 
 def test_volume_norms_q_general():
-    p = build_probe(1.0, 5.0, 0.0, [0.0, 0.0, 1.0], CgoMode.PENETRABLE)
-    ne3, _, _ = cgo_volume_norms(p, (np.zeros(3), 0.4), q=3.0)
-    # brute-force radial x angular midpoint rule as a crude oracle
-    n = 60
-    xs = np.linspace(-0.4, 0.4, n)
-    step = xs[1] - xs[0]
-    total = 0.0
-    for z in xs:
-        rho2 = 0.4**2 - z**2
-        if rho2 <= 0:
-            continue
-        total += math.pi * rho2 * math.exp(3.0 * p.tau * z) * step
-    ref_ln = math.log(np.linalg.norm(p.eta)) + math.log(total) / 3.0
-    assert abs(ne3.ln_abs() - ref_ln) < 5e-3
+    p = build_probe(1.0, 5.0, 0.1, [0.6, 0.0, 0.8], CgoMode.PENETRABLE)
+    center, radius = np.array([0.2, -0.3, 0.1]), 0.4
+    ne3, nh3, nc3 = cgo_volume_norms(p, (center, radius), q=3.0)
+    shift = center @ p.frame.rho - p.t
+    for norm, amp in ((ne3, p.eta), (nh3, p.theta), (nc3, curl_amplitudes(p)[1])):
+        ref_ln = ln_norm_mp(amp, 3.0, p.tau, shift, radius)
+        assert abs(norm.ln_abs() - float(ref_ln)) < 1e-13
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+@pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (0.3, -0.2, 0.25)])
+@pytest.mark.parametrize("sr", [1e-3, 0.1, 0.499, 0.5, 0.7, 3.0, 20.0, 100.0])
+def test_volume_norms_match_mpmath(q, center, sr):
+    """The exact ball weight holds to 1e-14 relative across s r = q tau r,
+    through the series branch, the switch at 0.5 and the peeled closed form."""
+    radius = 0.5
+    center = np.array(center)
+    rho = np.array([0.48, 0.6, 0.64])
+    tau = sr / (q * radius)
+    # t at the ball's top keeps the peel near 0, so ln values stay O(1)
+    t = center @ rho + radius
+    p = build_probe(1.0, tau, t, rho, CgoMode.IMPENETRABLE)
+    norms = cgo_volume_norms(p, (center, radius), q=q)
+    shift = center @ p.frame.rho - t
+    for norm, amp in zip(norms, (p.eta, p.theta, curl_amplitudes(p)[1])):
+        ref_ln = ln_norm_mp(amp, q, tau, shift, radius)
+        assert abs(norm.ln_abs() - float(ref_ln)) < 1e-14, (q, sr)
 
 
 def test_lemma_ratio_h0_curl_h0():
@@ -251,12 +274,6 @@ def test_decay_regime_above_support():
             dtau = 5.0
             assert lnorm - prev < -0.9 * dtau    # ||H0||_2 ~ exp(-tau) poly
         prev = lnorm
-
-
-def test_quadrature_guard_trips():
-    p = build_probe(1.0, 25.0, 0.0, [0.0, 0.0, 1.0], CgoMode.IMPENETRABLE)
-    with pytest.raises(QuadratureUnderResolved):
-        cgo_volume_norms(p, (np.zeros(3), 0.5), q=2.0, n_radial=2, check=True)
 
 
 def test_bad_ball_and_q():

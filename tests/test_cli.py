@@ -126,6 +126,10 @@ INVALID_CONFIGS = [
     ("repeated tau", dict(BASE, tau_grid=[6.0, 6.0, 8.0]), "tau_grid: values must be distinct"),
     ("domain radius past 1e30", dict(BASE, geometry={
         "r_obstacle": 0.5, "r_domain": 1e31}), "geometry.r_domain: must lie in"),
+    ("direction length overflows", dict(BASE, directions={
+        "kind": "explicit", "vectors": [[1e300, 1e300, 0]]}), "directions.vectors: a vector"),
+    ("translation past the shift cap", dict(BASE, translation=[0.0, 2e6, 0.0]),
+     "translation: components must lie within"),
 ]
 
 
@@ -684,6 +688,29 @@ def _geometry(r_domain, r_obstacle):
     return {"r_obstacle": r_obstacle, "r_domain": r_domain}
 
 
+# a component of a vector: any magnitude, zero or NaN
+_COMPONENT = st.one_of(_SIGNED, st.just(0.0), st.just(math.nan))
+_DIRECTIONS = st.one_of(
+    st.just({"kind": "axes26"}),
+    # Fibonacci counts too small, desk-sized, or past the row cap on their own
+    st.builds(lambda n: {"kind": "fibonacci", "count": n},
+              st.one_of(st.integers(0, 64), st.integers(MAX_ROWS + 1, 10**12))),
+    # explicit vectors: from one to eight of them at desk size, or any
+    # number with zero, NaN, 1e300 and wrong shapes among them
+    st.builds(lambda v: {"kind": "explicit", "vectors": v}, st.one_of(
+        st.lists(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+                 min_size=1, max_size=8),
+        st.lists(st.one_of(st.lists(_COMPONENT, min_size=3, max_size=3),
+                           st.just([0.0, 0.0, 0.0]),
+                           st.lists(_COMPONENT, max_size=5),
+                           _COMPONENT),
+                 max_size=8))))
+_TRANSLATION = st.one_of(
+    st.lists(st.floats(-0.2, 0.2), min_size=3, max_size=3),
+    st.lists(st.one_of(_SIGNED, st.just(1e300), st.just(-1e300), st.just(math.nan)),
+             max_size=5))
+
+
 # each key near the shipped configs, where most runs end in 0 or 3 ...
 _DESK = {
     "wave_number": st.floats(0.5, 2.0),
@@ -696,6 +723,8 @@ _DESK = {
     "truncation_degree": st.integers(30, 40),
     "tolerances": st.fixed_dictionaries({"trace_tail": st.floats(1e-9, 1e-7),
                                          "eigen_guard": st.floats(1e-11, 1e-9)}),
+    "directions": st.just(BASE["directions"]),
+    "translation": st.just([0.0, 0.0, 0.0]),
 }
 # ... or anywhere from 1e-300 to 1e300
 _WILD = {
@@ -709,12 +738,14 @@ _WILD = {
     "truncation_degree": st.integers(1, 40),
     "tolerances": st.fixed_dictionaries({"trace_tail": _POSITIVE,
                                          "eigen_guard": _POSITIVE}),
+    "directions": _DIRECTIONS,
+    "translation": _TRANSLATION,
 }
 
 
 @st.composite
 def _fuzzed_config(draw):
-    """BASE's six directions with any set of keys taken wild."""
+    """BASE with any set of keys taken wild."""
     wild = draw(st.sets(st.sampled_from(sorted(_WILD))))
     doc = dict(BASE, problem=draw(st.sampled_from(["pec", "transmission", "empty"])))
     for key in sorted(_DESK):
@@ -731,7 +762,8 @@ def _fuzzed_config(draw):
 @given(command=st.sampled_from(["sweep", "reconstruct"]), doc=_fuzzed_config())
 def test_exit_code_contract(tmp_path_factory, command, doc):
     """Wave number, radii, mu contrast, grids, degree and tolerances from
-    1e-300 to 1e300, on six directions at L <= 40: each run exits 0, 2, 3 or 4
+    1e-300 to 1e300, directions from none to past the row cap, and
+    translations up to 1e300 or NaN, at L <= 40: each run exits 0, 2, 3 or 4
     within 1 s, writes only prefixed lines to stderr and raises no
     floating-point warning."""
     out = tmp_path_factory.mktemp("contract")

@@ -107,7 +107,8 @@ def test_infeasible_detection():
 
 
 def test_too_few_planes():
-    with pytest.raises(ValueError):
+    # fewer than four halfspaces never bound a region
+    with pytest.raises(Unbounded):
         halfspace_hull([(np.array([1.0, 0, 0]), 1.0)])
 
 

